@@ -7,9 +7,9 @@
 //! the fleet-level outcome: dynamic/static energy, flow, makespan,
 //! sleeps, sheds, and the fleet digest. The shape to expect: wall time
 //! grows roughly linearly in total job count (each host's engine run is
-//! linear in its own queue, dispatch is an `O(hosts)` scan per
-//! arrival), static energy grows with host count (more idle floors to
-//! pay), and the digest is bit-stable across re-runs of the same sweep.
+//! linear in its own queue, dispatch is `O(log hosts)` per event),
+//! static energy grows with host count (more idle floors to pay), and
+//! the digest is bit-stable across re-runs of the same sweep.
 //!
 //! The JSON document also embeds the single-host equivalence check —
 //! a 1-host fleet re-run against the bare `pas_sim` engine at digest

@@ -179,6 +179,18 @@ impl EventQueue {
         Some(q.event)
     }
 
+    /// Every pending event in the order repeated [`pop`](Self::pop)s
+    /// would return them — the same `(time, class, tie, seq)` key —
+    /// from one sort instead of one heap pop per event. Consumes the
+    /// queue, so nothing can be scheduled behind the drain.
+    pub fn into_sorted(self) -> impl Iterator<Item = FleetEvent> {
+        let mut pending = self.heap.into_vec();
+        // `Ord` is reversed for the max-heap: descending under it is
+        // ascending pop order.
+        pending.sort_unstable_by(|a, b| b.cmp(a));
+        pending.into_iter().map(|q| q.event)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -290,6 +302,35 @@ mod tests {
                 matches!(first.kind, FleetEventKind::HostJoin { .. }),
                 "seed {seed}: join must precede the tied arrival"
             );
+        }
+    }
+
+    #[test]
+    fn sorted_drain_matches_pop_order() {
+        use pas_workload::Job;
+        let fill = |seed| {
+            let mut q = EventQueue::new(seed);
+            for i in 0..60u32 {
+                let at = f64::from(i % 7) * 0.5;
+                q.push(if i % 3 == 0 {
+                    ev(at, i)
+                } else {
+                    FleetEvent {
+                        at,
+                        kind: FleetEventKind::Arrival {
+                            index: i as usize,
+                            job: Job::new(i, at, 1.0),
+                        },
+                    }
+                });
+            }
+            q
+        };
+        for seed in 0..8u64 {
+            let mut q = fill(seed);
+            let popped: Vec<FleetEvent> = std::iter::from_fn(|| q.pop()).collect();
+            let sorted: Vec<FleetEvent> = fill(seed).into_sorted().collect();
+            assert_eq!(popped, sorted, "seed {seed}");
         }
     }
 

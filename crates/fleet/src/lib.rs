@@ -8,8 +8,9 @@
 //!
 //! The design splits a run into deterministic phases (see [`sim`]): an
 //! event-calendar **dispatch** phase with seeded tie-breaking
-//! ([`event::EventQueue`]) that records every decision into a bit-exact
-//! [`trace::EventTrace`], a grouped **partition** pass that turns the
+//! ([`event::EventQueue`]) that routes each arrival in `O(log H)`
+//! ([`dispatch()`]; the full scan is kept as [`reference::dispatch`])
+//! and records every decision into a bit-exact [`trace::EventTrace`], a grouped **partition** pass that turns the
 //! trace into per-host tasks, and an **execute** phase that is a pure
 //! function of each `(scenario, task)` pair — and therefore runs on a
 //! worker pool ([`run_with`]) with worker-local scratch, reduced in
@@ -29,13 +30,16 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod dispatch;
 pub mod event;
 pub mod host;
 mod partition;
+pub mod reference;
 pub mod scenario;
 pub mod sim;
 pub mod trace;
 
+pub use dispatch::dispatch;
 pub use event::{EventQueue, FleetEvent, FleetEventKind};
 pub use host::{EnginePower, FixedSpeed, HostConfig, HostPolicy};
 pub use scenario::{DispatchPolicy, FleetScenario, ScenarioError};

@@ -57,6 +57,31 @@ pub(crate) struct Partition {
     pub shed_work: f64,
 }
 
+/// Host id → slot map: slot `i` holds the `i`-th smallest host id, the
+/// one canonical order of dispatch leaves, partition tasks, and the
+/// reduction.
+pub(crate) struct HostSlots {
+    ids: Vec<u32>,
+}
+
+impl HostSlots {
+    pub(crate) fn new(scenario: &FleetScenario) -> Self {
+        let mut ids: Vec<u32> = scenario.hosts.iter().map(|h| h.id).collect();
+        ids.sort_unstable();
+        HostSlots { ids }
+    }
+
+    /// Host ids in slot order (ascending).
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The slot of host `id`, by binary search.
+    pub(crate) fn slot(&self, id: u32) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+}
+
 /// Derive the phase-2 work list from a trace in two linear sweeps.
 ///
 /// # Errors
@@ -66,9 +91,9 @@ pub(crate) fn partition(
     scenario: &FleetScenario,
     trace: &EventTrace,
 ) -> Result<Partition, FleetError> {
-    let mut ids: Vec<u32> = scenario.hosts.iter().map(|h| h.id).collect();
-    ids.sort_unstable();
-    let mut tasks: Vec<HostTask> = ids
+    let slots = HostSlots::new(scenario);
+    let mut tasks: Vec<HostTask> = slots
+        .ids()
         .iter()
         .map(|&host| HostTask {
             host,
@@ -84,7 +109,7 @@ pub(crate) fn partition(
     for ev in &scenario.events {
         match ev.kind {
             FleetEventKind::HostLeave { host } => {
-                if let Ok(slot) = ids.binary_search(&host) {
+                if let Some(slot) = slots.slot(host) {
                     let task = &mut tasks[slot];
                     if task.leave_at.is_none() {
                         task.leave_at = Some(ev.at);
@@ -92,7 +117,7 @@ pub(crate) fn partition(
                 }
             }
             FleetEventKind::HostFail { host, duration } => {
-                if let Ok(slot) = ids.binary_search(&host) {
+                if let Some(slot) = slots.slot(host) {
                     tasks[slot].crashes.push(FaultEvent {
                         at: ev.at,
                         kind: FaultKind::Crash {
@@ -127,9 +152,9 @@ pub(crate) fn partition(
             });
         }
         match a.routed {
-            Some(host) => match ids.binary_search(&host) {
-                Ok(slot) => tasks[slot].indices.push(a.index),
-                Err(_) => {
+            Some(host) => match slots.slot(host) {
+                Some(slot) => tasks[slot].indices.push(a.index),
+                None => {
                     return Err(FleetError::TraceMismatch {
                         reason: format!("arrival {} routed to unknown host {host}", a.index),
                     })

@@ -3,12 +3,17 @@
 //!
 //! A run is **three deterministic steps**:
 //!
-//! 1. **Dispatch** — the event calendar (workload arrivals, host
-//!    joins/leaves/failures) is drained in monotone, seed-tie-broken
-//!    order ([`crate::event::EventQueue`]); the dispatcher routes every
-//!    arrival to an eligible host (joined, not departed, not down) per
-//!    the scenario's [`DispatchPolicy`]. Every processed event and
-//!    every routing decision is appended to an [`EventTrace`].
+//! 1. **Dispatch** ([`crate::dispatch()`]) — the event calendar
+//!    (workload arrivals, host joins/leaves/failures) is drained in
+//!    monotone, seed-tie-broken order ([`crate::event::EventQueue`],
+//!    one sort); the dispatcher routes every arrival to an eligible
+//!    host (joined, not departed, not down) per the scenario's
+//!    [`crate::DispatchPolicy`], through a tournament tree over host
+//!    slots with time-driven recoveries. Routing costs
+//!    `O((J + E) log H)` for `J` arrivals, `E` host events and `H`
+//!    hosts, not the `O(J·H)` of the full scan kept in
+//!    [`crate::reference`]. Every processed event and every routing
+//!    decision is appended to an [`EventTrace`].
 //! 2. **Partition** — one grouped pass (the crate-private `partition`
 //!    module) turns the
 //!    trace into per-host tasks: assigned indices, leave time, scripted
@@ -53,12 +58,13 @@ use pas_sim::faults::FaultKind;
 use pas_sim::journal::outcome_digest;
 use pas_sim::metrics;
 use pas_sim::online::{run_online_pooled, EngineScratch, OnlineOutcome, SimError};
+use pas_sim::Fnv;
 use pas_workload::Job;
 
-use crate::event::{EventQueue, FleetEvent, FleetEventKind};
+use crate::dispatch::dispatch;
 use crate::partition::{partition, HostTask, Partition};
-use crate::scenario::{DispatchPolicy, FleetScenario, ScenarioError};
-use crate::trace::{EventTrace, TraceRecord};
+use crate::scenario::{FleetScenario, ScenarioError};
+use crate::trace::EventTrace;
 
 /// Fleet-run failures.
 #[derive(Debug)]
@@ -197,37 +203,6 @@ impl FleetOutcome {
     }
 }
 
-/// FNV-1a 64-bit, the workspace digest idiom.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
-/// Dispatch-phase state for one host.
-struct HostState {
-    id: u32,
-    joined: bool,
-    left: bool,
-    down_until: f64,
-    assigned_work: f64,
-    rating: f64,
-}
-
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
@@ -307,128 +282,6 @@ pub fn replay_with(
     let part = partition(scenario, trace)?;
     let partition_ms = ms(t);
     execute(scenario, trace.clone(), part, workers, 0.0, partition_ms)
-}
-
-/// Phase 1: drain the calendar, route arrivals, record the trace.
-/// Assignments and shed totals are *not* tracked here — the partition
-/// pass re-derives both from the trace, so dispatch and replay cannot
-/// disagree about them.
-fn dispatch(scenario: &FleetScenario) -> EventTrace {
-    let mut queue = EventQueue::new(scenario.seed);
-    for h in &scenario.hosts {
-        queue.push(FleetEvent {
-            at: h.available_from,
-            kind: FleetEventKind::HostJoin { host: h.id },
-        });
-    }
-    for (index, job) in scenario.workload.jobs().iter().enumerate() {
-        queue.push(FleetEvent {
-            at: job.release,
-            kind: FleetEventKind::Arrival { index, job: *job },
-        });
-    }
-    for ev in &scenario.events {
-        queue.push(ev.clone());
-    }
-
-    // Host states in id order (the canonical eligibility scan order).
-    let mut states: Vec<HostState> = scenario
-        .hosts
-        .iter()
-        .map(|h| HostState {
-            id: h.id,
-            joined: false,
-            left: false,
-            down_until: f64::NEG_INFINITY,
-            assigned_work: 0.0,
-            rating: h.speed_rating(),
-        })
-        .collect();
-    states.sort_by_key(|s| s.id);
-
-    let mut records = Vec::new();
-    let mut rr = 0usize;
-
-    while let Some(ev) = queue.pop() {
-        match ev.kind {
-            FleetEventKind::HostJoin { host } => {
-                if let Some(s) = states.iter_mut().find(|s| s.id == host) {
-                    s.joined = true;
-                }
-                records.push(TraceRecord::Join { at: ev.at, host });
-            }
-            FleetEventKind::HostLeave { host } => {
-                if let Some(s) = states.iter_mut().find(|s| s.id == host) {
-                    s.left = true;
-                }
-                records.push(TraceRecord::Leave { at: ev.at, host });
-            }
-            FleetEventKind::HostFail { host, duration } => {
-                if let Some(s) = states.iter_mut().find(|s| s.id == host) {
-                    s.down_until = s.down_until.max(ev.at + duration);
-                }
-                records.push(TraceRecord::Fail {
-                    at: ev.at,
-                    host,
-                    duration,
-                });
-            }
-            FleetEventKind::Arrival { index, job } => {
-                let eligible: Vec<usize> = states
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.joined && !s.left && ev.at >= s.down_until)
-                    .map(|(i, _)| i)
-                    .collect();
-                let chosen = if eligible.is_empty() {
-                    None
-                } else {
-                    let pick = match scenario.dispatch {
-                        DispatchPolicy::RoundRobin => {
-                            let p = eligible[rr % eligible.len()];
-                            rr += 1;
-                            p
-                        }
-                        DispatchPolicy::LeastAssigned => *eligible
-                            .iter()
-                            .min_by(|&&a, &&b| {
-                                states[a]
-                                    .assigned_work
-                                    .total_cmp(&states[b].assigned_work)
-                                    .then(states[a].id.cmp(&states[b].id))
-                            })
-                            .expect("non-empty"),
-                        DispatchPolicy::WeightedFastest => *eligible
-                            .iter()
-                            .max_by(|&&a, &&b| {
-                                let score = |s: &HostState| s.rating / (1.0 + s.assigned_work);
-                                score(&states[a])
-                                    .total_cmp(&score(&states[b]))
-                                    // On score ties prefer the lower id
-                                    // (max_by keeps the later maximum).
-                                    .then(states[b].id.cmp(&states[a].id))
-                            })
-                            .expect("non-empty"),
-                    };
-                    states[pick].assigned_work += job.work;
-                    Some(states[pick].id)
-                };
-                records.push(TraceRecord::Arrival {
-                    at: ev.at,
-                    index,
-                    job_id: job.id,
-                    release: job.release,
-                    work: job.work,
-                    routed: chosen,
-                });
-            }
-        }
-    }
-
-    EventTrace {
-        seed: scenario.seed,
-        records,
-    }
 }
 
 /// Merge possibly-overlapping intervals (clipped to `[start, end]`)
@@ -724,8 +577,10 @@ fn execute(
         })
         .sum();
 
+    // Hash the serialized trace as it is written: the same bytes as
+    // `trace.serialize()`, without building the String.
     let mut fnv = Fnv::new();
-    fnv.bytes(trace.serialize().as_bytes());
+    trace.write_to(&mut fnv).expect("hashing cannot fail");
     for r in &reports {
         fnv.u64(u64::from(r.host));
         fnv.u64(r.digest);
@@ -736,7 +591,7 @@ fn execute(
     fnv.f64(fleet_shed_work);
     fnv.f64(dynamic_energy);
     fnv.f64(total_flow);
-    let digest = fnv.0;
+    let digest = fnv.finish();
     let reduce_ms = ms(t_reduce);
 
     Ok(FleetOutcome {
@@ -763,7 +618,9 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{FleetEvent, FleetEventKind};
     use crate::host::{EnginePower, HostConfig};
+    use crate::scenario::DispatchPolicy;
     use pas_power::{HostPower, PolyPower};
     use pas_sim::faults::FaultModel;
     use pas_workload::Instance;

@@ -3,8 +3,8 @@
 //! A [`EventTrace`] is the full record of a fleet run's phase-1 event
 //! processing — every event in its popped (tie-broken) order, plus the
 //! routing decision for every arrival. All `f64`s are serialized as
-//! their 16-hex-digit IEEE-754 bit patterns
-//! ([`pas_workload::io::f64_to_hex`]), so
+//! their 16-hex-digit IEEE-754 bit patterns (the
+//! [`pas_workload::io::f64_to_hex`] format), so
 //! `trace → serialize → parse → replay` reproduces the original fleet
 //! digest **bit-identically** — the property `tests/fleet_equivalence.rs`
 //! pins. The format is line-oriented and diff-friendly:
@@ -20,7 +20,9 @@
 //!
 //! (`host -` marks an arrival no eligible host could take: fleet-shed.)
 
-use pas_workload::io::{f64_from_hex, f64_to_hex};
+use std::fmt;
+
+use pas_workload::io::f64_from_hex;
 
 /// One recorded event, in pop order.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,49 +156,67 @@ impl EventTrace {
     /// Serialize to the canonical line format (the digest currency: the
     /// fleet digest hashes exactly these bytes).
     pub fn serialize(&self) -> String {
-        let mut out = String::from("fleettrace v1\n");
-        out.push_str(&format!("seed {:016x}\n", self.seed));
+        let mut out = String::new();
+        self.write_to(&mut out)
+            .expect("formatting into a String cannot fail");
+        out
+    }
+
+    /// Stream the canonical line format into `out`, one `write!` per
+    /// record, with no per-field allocation. [`serialize`](Self::serialize)
+    /// is this into a `String`; the fleet digest is this into
+    /// [`pas_sim::Fnv`], which hashes the same bytes without building
+    /// the text.
+    ///
+    /// # Errors
+    /// Whatever `out` reports.
+    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "fleettrace v1\nseed {:016x}\n", self.seed)?;
         for r in &self.records {
-            match r {
+            match *r {
                 TraceRecord::Arrival {
                     at,
                     index,
                     job_id,
                     release,
                     work,
-                    routed,
-                } => {
-                    let host = match routed {
-                        Some(h) => h.to_string(),
-                        None => "-".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "ev {} arrival {} {} {} {} host {}\n",
-                        f64_to_hex(*at),
-                        index,
-                        job_id,
-                        f64_to_hex(*release),
-                        f64_to_hex(*work),
-                        host
-                    ));
-                }
+                    routed: Some(host),
+                } => writeln!(
+                    out,
+                    "ev {:016x} arrival {index} {job_id} {:016x} {:016x} host {host}",
+                    at.to_bits(),
+                    release.to_bits(),
+                    work.to_bits(),
+                )?,
+                TraceRecord::Arrival {
+                    at,
+                    index,
+                    job_id,
+                    release,
+                    work,
+                    routed: None,
+                } => writeln!(
+                    out,
+                    "ev {:016x} arrival {index} {job_id} {:016x} {:016x} host -",
+                    at.to_bits(),
+                    release.to_bits(),
+                    work.to_bits(),
+                )?,
                 TraceRecord::Join { at, host } => {
-                    out.push_str(&format!("ev {} join {}\n", f64_to_hex(*at), host));
+                    writeln!(out, "ev {:016x} join {host}", at.to_bits())?
                 }
                 TraceRecord::Leave { at, host } => {
-                    out.push_str(&format!("ev {} leave {}\n", f64_to_hex(*at), host));
+                    writeln!(out, "ev {:016x} leave {host}", at.to_bits())?
                 }
-                TraceRecord::Fail { at, host, duration } => {
-                    out.push_str(&format!(
-                        "ev {} fail {} {}\n",
-                        f64_to_hex(*at),
-                        host,
-                        f64_to_hex(*duration)
-                    ));
-                }
+                TraceRecord::Fail { at, host, duration } => writeln!(
+                    out,
+                    "ev {:016x} fail {host} {:016x}",
+                    at.to_bits(),
+                    duration.to_bits()
+                )?,
             }
         }
-        out
+        Ok(())
     }
 
     /// Parse a serialized trace.
@@ -302,6 +322,28 @@ mod tests {
         assert_eq!(t, back);
         // And the serialization is a fixed point.
         assert_eq!(text, back.serialize());
+    }
+
+    #[test]
+    fn serializes_the_documented_line_format() {
+        let want = "fleettrace v1\n\
+                    seed 000000000000002a\n\
+                    ev 0000000000000000 join 0\n\
+                    ev 3ff0000000000000 arrival 0 17 3ff0000000000000 3fd3333333333334 host 0\n\
+                    ev 4000000000000000 fail 0 3fe0000000000000\n\
+                    ev 4008000000000000 arrival 1 18 4008000000000000 3ff0000000000000 host -\n\
+                    ev 4010000000000000 leave 0\n";
+        assert_eq!(sample().serialize(), want);
+    }
+
+    #[test]
+    fn streamed_digest_hashes_the_serialized_bytes() {
+        let t = sample();
+        let mut streamed = pas_sim::Fnv::new();
+        t.write_to(&mut streamed).unwrap();
+        let mut whole = pas_sim::Fnv::new();
+        whole.bytes(t.serialize().as_bytes());
+        assert_eq!(streamed.finish(), whole.finish());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::arena::{BandLedger, ShardedReadySet};
 use crate::faults::{FaultKind, FaultPlan, ResilienceReport};
+use crate::fnv::Fnv;
 use crate::online::{AdmissionConfig, Decision, EngineState, OnlineOutcome, PendingJob};
 use crate::schedule::Schedule;
 use crate::slice::Slice;
@@ -126,25 +127,6 @@ fn obj_field<'v>(entries: &'v [(String, Value)], name: &str) -> Result<&'v Value
 // ---------------------------------------------------------------------
 // Scenario and outcome digests (FNV-1a).
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-}
-
 /// Digest of the serving scenario (materialized arrivals, fault plan,
 /// admission config), stored in the journal header so a restore against
 /// the wrong instance, plan, or admission policy fails loudly instead
@@ -215,7 +197,7 @@ pub(crate) fn scenario_digest(
         }
         None => h.u64(0),
     }
-    h.0
+    h.finish()
 }
 
 /// Bitwise digest of an [`OnlineOutcome`]: every schedule slice, the
@@ -257,7 +239,7 @@ pub fn outcome_digest(outcome: &OnlineOutcome) -> u64 {
         }
         None => h.u64(0),
     }
-    h.0
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

@@ -30,12 +30,16 @@
 //!   arrival bursts) injected into the engine via
 //!   [`online::run_online_with_faults`], costed by a
 //!   [`faults::ResilienceReport`].
+//! * [`Fnv`] — the one FNV-1a hasher behind every digest in the
+//!   workspace (journal, outcome, scenario, fleet); it also hashes
+//!   formatted text as a [`std::fmt::Write`] sink.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod arena;
 pub mod faults;
+pub mod fnv;
 pub mod journal;
 pub mod metrics;
 pub mod online;
@@ -50,6 +54,7 @@ pub use faults::{
     BurstJob, CrashSemantics, FaultEvent, FaultKind, FaultModel, FaultNotice, FaultPlan,
     FaultPlanError, ResilienceReport,
 };
+pub use fnv::Fnv;
 pub use journal::{outcome_digest, Journal, JournalError};
 pub use metrics::Metrics;
 pub use online::{
