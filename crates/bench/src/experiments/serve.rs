@@ -12,6 +12,11 @@
 //! scenario the shedding gate exists for — and the row reports how many
 //! jobs it shed.
 //!
+//! Every row also restores a second server from the run's journal,
+//! times that restore (`restore_secs`: the journal decode and engine
+//! rebuild), and replays it to the end; the restored outcome digest must
+//! equal the fresh one or the experiment panics.
+//!
 //! The shape to expect: decision latency is sub-microsecond (an O(1)
 //! policy plus one journal line), throughput is decision-latency bound
 //! and roughly flat across patterns, faults shave throughput by the
@@ -23,7 +28,9 @@ use crate::harness::{fmt, CsvTable};
 use pas_core::online::SpendAll;
 use pas_power::PolyPower;
 use pas_sim::online::{AdmissionConfig, ShedPolicy};
-use pas_sim::{FaultModel, FaultPlan, Journal, ServeConfig, Server, WatchdogConfig};
+use pas_sim::{
+    outcome_digest, FaultModel, FaultPlan, Journal, ServeConfig, Server, WatchdogConfig,
+};
 use pas_workload::{generators, Instance};
 use std::time::Instant;
 
@@ -44,6 +51,10 @@ pub struct ServePoint {
     pub shed_jobs: usize,
     /// Serve-loop wall-clock, seconds.
     pub elapsed_secs: f64,
+    /// Wall-clock of [`Server::restore`] over the run's full journal,
+    /// seconds (journal decode and engine rebuild; the replay that
+    /// follows is not timed).
+    pub restore_secs: f64,
     /// Live policy consultations.
     pub decisions: u64,
     /// Median decision latency, nanoseconds.
@@ -127,11 +138,42 @@ fn serve_point(
         record_latency: true,
     };
     let mut policy = SpendAll::new(model, budget);
-    let server = Server::new(&instance, &model, &plan, config, Journal::memory())
+    let mut server = Server::new(&instance, &model, &plan, config, Journal::memory())
         .expect("serve setup succeeds");
     let start = Instant::now();
-    let served = server.run(&mut policy).expect("serve run succeeds");
-    let elapsed_secs = start.elapsed().as_secs_f64();
+    let done = server
+        .run_for(&mut policy, u64::MAX)
+        .expect("serve run succeeds");
+    let serve_time = start.elapsed();
+    assert!(done, "an unbounded run_for serves to completion");
+
+    // Read path: restore from the full journal, then replay to the end;
+    // the restored outcome must be the fresh one, bit for bit.
+    let mut replay_policy = SpendAll::new(model, budget);
+    let start = Instant::now();
+    let restored = Server::restore(
+        &instance,
+        &model,
+        &plan,
+        config,
+        server.journal().contents().expect("memory journal"),
+        Journal::memory(),
+        &mut replay_policy,
+    )
+    .expect("restore from the run's journal");
+    let restore_secs = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let served = server.finish().expect("serve run finishes");
+    let elapsed_secs = (serve_time + start.elapsed()).as_secs_f64();
+    let replayed = restored
+        .run(&mut replay_policy)
+        .expect("restored run succeeds");
+    assert_eq!(
+        outcome_digest(&replayed.outcome),
+        outcome_digest(&served.outcome),
+        "{pattern} (faults {}): restored outcome differs from the fresh run",
+        plan.len()
+    );
     let mut lat = served.stats.decide_nanos;
     lat.sort_unstable();
     ServePoint {
@@ -142,6 +184,7 @@ fn serve_point(
         delivered: served.outcome.schedule.completion_times().len(),
         shed_jobs: served.outcome.resilience.shed_jobs,
         elapsed_secs,
+        restore_secs,
         decisions: served.stats.decisions,
         p50_decide_nanos: percentile(&lat, 0.50),
         p99_decide_nanos: percentile(&lat, 0.99),
@@ -189,6 +232,7 @@ pub fn serve_table(points: &[ServePoint]) -> CsvTable {
             "shed_jobs",
             "elapsed_secs",
             "jobs_per_sec",
+            "restore_secs",
             "decisions",
             "p50_decide_nanos",
             "p99_decide_nanos",
@@ -207,6 +251,7 @@ pub fn serve_table(points: &[ServePoint]) -> CsvTable {
             p.shed_jobs.to_string(),
             fmt(p.elapsed_secs),
             fmt(p.jobs_per_sec()),
+            fmt(p.restore_secs),
             p.decisions.to_string(),
             p.p50_decide_nanos.to_string(),
             p.p99_decide_nanos.to_string(),
@@ -224,14 +269,14 @@ pub fn serve_bench_json(points: &[ServePoint]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"serve_throughput\",\n");
     out.push_str(
-        "  \"setup\": \"full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs\",\n",
+        "  \"setup\": \"full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs; each row then restores from its journal and replays to a bit-identical outcome digest\",\n",
     );
     out.push_str(
-        "  \"metric\": \"sustained jobs/sec (delivered over wall-clock) and p50/p99/max decision latency in nanoseconds\",\n  \"points\": [\n",
+        "  \"metric\": \"sustained jobs/sec (delivered over wall-clock), p50/p99/max decision latency in nanoseconds, and restore_secs (Server::restore over the full journal)\",\n  \"points\": [\n",
     );
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"arrivals\": \"{}\", \"n\": {}, \"fault_events\": {}, \"seed\": {}, \"delivered\": {}, \"shed_jobs\": {}, \"elapsed_secs\": {:.6}, \"jobs_per_sec\": {:.1}, \"decisions\": {}, \"p50_decide_nanos\": {}, \"p99_decide_nanos\": {}, \"max_decide_nanos\": {}, \"watchdog_trips\": {}, \"energy\": {:.6}}}{}\n",
+            "    {{\"arrivals\": \"{}\", \"n\": {}, \"fault_events\": {}, \"seed\": {}, \"delivered\": {}, \"shed_jobs\": {}, \"elapsed_secs\": {:.6}, \"jobs_per_sec\": {:.1}, \"restore_secs\": {:.6}, \"decisions\": {}, \"p50_decide_nanos\": {}, \"p99_decide_nanos\": {}, \"max_decide_nanos\": {}, \"watchdog_trips\": {}, \"energy\": {:.6}}}{}\n",
             p.arrivals,
             p.n,
             p.fault_events,
@@ -240,6 +285,7 @@ pub fn serve_bench_json(points: &[ServePoint]) -> String {
             p.shed_jobs,
             p.elapsed_secs,
             p.jobs_per_sec(),
+            p.restore_secs,
             p.decisions,
             p.p50_decide_nanos,
             p.p99_decide_nanos,
@@ -271,6 +317,7 @@ mod tests {
             assert!(p.delivered > 0, "{p:?}");
             assert!(p.decisions > 0, "{p:?}");
             assert!(p.elapsed_secs > 0.0, "{p:?}");
+            assert!(p.restore_secs > 0.0, "{p:?}");
             assert!(p.p50_decide_nanos <= p.p99_decide_nanos, "{p:?}");
             assert!(p.p99_decide_nanos <= p.max_decide_nanos, "{p:?}");
         }

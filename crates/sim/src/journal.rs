@@ -25,6 +25,22 @@
 //! at most one torn line at the end of the file; the reader stops at
 //! the first malformed line, so recovery resumes from the last durable
 //! record.
+//!
+//! # Decoding
+//!
+//! Decision records are nearly every line of a journal, so the reader
+//! decodes them straight from bytes: `decode_decision` is a scanner for
+//! exactly the grammar `encode_decision` writes (fixed key order, no
+//! whitespace, no leading zeros, lowercase 16-hex floats). Any line it
+//! does not recognise — headers, snapshots, or a decision written some
+//! other way — falls back to the general JSON `parse_record`, so the
+//! scanner changes speed, never which lines are accepted or what they
+//! decode to. Decisions must also carry `seq` 1, 2, 3, … in file order
+//! (snapshots sit between them without breaking the count, and replayed
+//! decisions are never re-journaled); the first decision out of
+//! sequence — a dropped, duplicated, or reordered line — is
+//! [`JournalError::Malformed`] at that line rather than a divergence
+//! deep inside the replay.
 
 use crate::arena::{BandLedger, ShardedReadySet};
 use crate::faults::{FaultKind, FaultPlan, ResilienceReport};
@@ -32,9 +48,11 @@ use crate::fnv::Fnv;
 use crate::online::{AdmissionConfig, Decision, EngineState, OnlineOutcome, PendingJob};
 use crate::schedule::Schedule;
 use crate::slice::Slice;
+use pas_workload::io::{f64_from_hex, f64_to_hex};
 use pas_workload::Job;
 use serde::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -93,17 +111,15 @@ fn io_err(e: std::io::Error) -> JournalError {
 }
 
 // ---------------------------------------------------------------------
-// Bit-exact f64 codec.
+// Bit-exact f64 codec (the workload crate's, shared with the fleet trace).
 
 fn fb(x: f64) -> Value {
-    Value::Str(format!("{:016x}", x.to_bits()))
+    Value::Str(f64_to_hex(x))
 }
 
 fn pf(v: &Value) -> Result<f64, String> {
     match v {
-        Value::Str(s) => u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("bad f64 bit pattern `{s}`")),
+        Value::Str(s) => f64_from_hex(s).ok_or_else(|| format!("bad f64 bit pattern `{s}`")),
         _ => Err("expected an f64 bit-pattern string".to_string()),
     }
 }
@@ -788,21 +804,46 @@ enum Sink {
     File(std::io::BufWriter<std::fs::File>),
 }
 
+impl Sink {
+    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
+        match self {
+            Sink::Memory(s) => {
+                s.push_str(line);
+                s.push('\n');
+            }
+            Sink::File(w) => {
+                w.write_all(line.as_bytes()).map_err(io_err)?;
+                w.write_all(b"\n").map_err(io_err)?;
+                // Flush per record: a kill can tear at most one line.
+                w.flush().map_err(io_err)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// An append-only record sink: the serving layer's write-ahead log.
 pub struct Journal {
     sink: Sink,
     records: u64,
     path: Option<PathBuf>,
+    /// Reused line buffer for decision records (the per-step write).
+    scratch: String,
 }
 
 impl Journal {
+    fn with_sink(sink: Sink, path: Option<PathBuf>) -> Journal {
+        Journal {
+            sink,
+            records: 0,
+            path,
+            scratch: String::new(),
+        }
+    }
+
     /// An in-memory journal (no durability; for tests and benchmarks).
     pub fn memory() -> Journal {
-        Journal {
-            sink: Sink::Memory(String::new()),
-            records: 0,
-            path: None,
-        }
+        Journal::with_sink(Sink::Memory(String::new()), None)
     }
 
     /// Create (truncate) a journal file for a fresh serving run.
@@ -811,11 +852,10 @@ impl Journal {
     /// [`JournalError::Io`] if the file cannot be created.
     pub fn create(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
         let file = std::fs::File::create(path.as_ref()).map_err(io_err)?;
-        Ok(Journal {
-            sink: Sink::File(std::io::BufWriter::new(file)),
-            records: 0,
-            path: Some(path.as_ref().to_path_buf()),
-        })
+        Ok(Journal::with_sink(
+            Sink::File(std::io::BufWriter::new(file)),
+            Some(path.as_ref().to_path_buf()),
+        ))
     }
 
     /// Open an existing journal file for appending (the restore path:
@@ -828,11 +868,10 @@ impl Journal {
             .append(true)
             .open(path.as_ref())
             .map_err(io_err)?;
-        Ok(Journal {
-            sink: Sink::File(std::io::BufWriter::new(file)),
-            records: 0,
-            path: Some(path.as_ref().to_path_buf()),
-        })
+        Ok(Journal::with_sink(
+            Sink::File(std::io::BufWriter::new(file)),
+            Some(path.as_ref().to_path_buf()),
+        ))
     }
 
     /// Records written through *this* handle (not pre-existing ones).
@@ -854,18 +893,7 @@ impl Journal {
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        match &mut self.sink {
-            Sink::Memory(s) => {
-                s.push_str(line);
-                s.push('\n');
-            }
-            Sink::File(w) => {
-                w.write_all(line.as_bytes()).map_err(io_err)?;
-                w.write_all(b"\n").map_err(io_err)?;
-                // Flush per record: a kill can tear at most one line.
-                w.flush().map_err(io_err)?;
-            }
-        }
+        self.sink.write_line(line)?;
         self.records += 1;
         Ok(())
     }
@@ -882,25 +910,11 @@ impl Journal {
     }
 
     pub(crate) fn write_decision(&mut self, rec: &DecisionRecord) -> Result<(), JournalError> {
-        let mut line = format!(
-            "{{\"t\":\"dec\",\"s\":{},\"c\":{},\"w\":{}",
-            rec.seq, rec.consulted, rec.tripped
-        );
-        match &rec.decision {
-            Some(d) => {
-                line.push_str(&format!(
-                    ",\"j\":{},\"v\":\"{:016x}\"",
-                    d.job,
-                    d.speed.to_bits()
-                ));
-                if let Some(r) = d.recheck_after {
-                    line.push_str(&format!(",\"r\":\"{:016x}\"", r.to_bits()));
-                }
-            }
-            None => line.push_str(",\"j\":null"),
-        }
-        line.push('}');
-        self.write_line(&line)
+        self.scratch.clear();
+        encode_decision(&mut self.scratch, rec);
+        self.sink.write_line(&self.scratch)?;
+        self.records += 1;
+        Ok(())
     }
 
     pub(crate) fn write_snapshot(&mut self, snap: &Snapshot) -> Result<(), JournalError> {
@@ -914,28 +928,147 @@ impl Journal {
     }
 }
 
+// ---------------------------------------------------------------------
+// Decision lines. `encode_decision` and `decode_decision` are inverses:
+// the scanner accepts exactly the bytes the encoder writes and nothing
+// else, so every decoded value round-trips bit for bit.
+
+/// Append `rec` as one journal line (no newline) to `out`.
+fn encode_decision(out: &mut String, rec: &DecisionRecord) {
+    let _ = write!(
+        out,
+        "{{\"t\":\"dec\",\"s\":{},\"c\":{},\"w\":{}",
+        rec.seq, rec.consulted, rec.tripped
+    );
+    match &rec.decision {
+        Some(d) => {
+            let _ = write!(out, ",\"j\":{},\"v\":\"{:016x}\"", d.job, d.speed.to_bits());
+            if let Some(r) = d.recheck_after {
+                let _ = write!(out, ",\"r\":\"{:016x}\"", r.to_bits());
+            }
+        }
+        None => out.push_str(",\"j\":null"),
+    }
+    out.push('}');
+}
+
+/// Decode a line `encode_decision` wrote; `None` for any other line.
+fn decode_decision(line: &str) -> Option<DecisionRecord> {
+    let mut s = Scan(line.as_bytes());
+    s.tag(b"{\"t\":\"dec\",\"s\":")?;
+    let seq = s.uint(1 << 53)?;
+    s.tag(b",\"c\":")?;
+    let consulted = s.boolean()?;
+    s.tag(b",\"w\":")?;
+    let tripped = s.boolean()?;
+    s.tag(b",\"j\":")?;
+    let decision = if s.tag(b"null").is_some() {
+        None
+    } else {
+        let job = s.uint(u64::from(u32::MAX))? as u32;
+        s.tag(b",\"v\":")?;
+        let speed = s.hex_f64()?;
+        let recheck_after = match s.tag(b",\"r\":") {
+            Some(()) => Some(s.hex_f64()?),
+            None => None,
+        };
+        Some(Decision {
+            job,
+            speed,
+            recheck_after,
+        })
+    };
+    s.tag(b"}")?;
+    s.0.is_empty().then_some(DecisionRecord {
+        seq,
+        decision,
+        consulted,
+        tripped,
+    })
+}
+
+/// A cursor over the unread bytes of a decision line.
+struct Scan<'a>(&'a [u8]);
+
+impl Scan<'_> {
+    fn tag(&mut self, tag: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(tag)?;
+        Some(())
+    }
+
+    /// A decimal without leading zeros, at most `max` (≤ 2^53, so 16
+    /// digits cannot overflow).
+    fn uint(&mut self, max: u64) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if len == 0 || len > 16 || (len > 1 && digits[0] == b'0') {
+            return None;
+        }
+        let x = digits
+            .iter()
+            .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+        self.0 = rest;
+        (x <= max).then_some(x)
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        if self.tag(b"true").is_some() {
+            Some(true)
+        } else {
+            self.tag(b"false").map(|()| false)
+        }
+    }
+
+    /// A quoted 16-digit lowercase hex f64 bit pattern.
+    fn hex_f64(&mut self) -> Option<f64> {
+        let digits = self.0.get(1..17)?;
+        if self.0[0] != b'"'
+            || self.0.get(17) != Some(&b'"')
+            || !digits
+                .iter()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
+            return None;
+        }
+        self.0 = &self.0[18..];
+        f64_from_hex(std::str::from_utf8(digits).ok()?)
+    }
+}
+
 /// Parse a journal's records. A malformed or truncated *final* line is
 /// a torn tail (normal after `SIGKILL`) and is silently dropped; a
-/// malformed interior line is a hard error.
+/// malformed interior line, or a decision whose `seq` breaks the
+/// 1, 2, 3, … file order, is a hard error.
 pub(crate) fn read_records(text: &str) -> Result<Vec<Record>, JournalError> {
-    let lines: Vec<&str> = text.lines().collect();
     let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record(line) {
-            Ok(rec) => out.push(rec),
+    let mut next_seq = 1;
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
+        let parsed = match decode_decision(line) {
+            Some(d) => Ok(Record::Decision(d)),
+            None if line.trim().is_empty() => continue,
+            None => parse_record(line),
+        };
+        let rec = match parsed {
+            Ok(rec) => rec,
+            Err(_) if lines.peek().is_none() => break, // torn tail
             Err(message) => {
-                if i + 1 == lines.len() {
-                    break; // torn tail
-                }
                 return Err(JournalError::Malformed {
                     line: i + 1,
                     message,
+                })
+            }
+        };
+        if let Record::Decision(d) = &rec {
+            if d.seq != next_seq {
+                return Err(JournalError::Malformed {
+                    line: i + 1,
+                    message: format!("decision seq {}, expected {next_seq}", d.seq),
                 });
             }
+            next_seq += 1;
         }
+        out.push(rec);
     }
     Ok(out)
 }
@@ -997,6 +1130,8 @@ fn parse_record(line: &str) -> Result<Record, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn f64_bits_round_trip_exactly() {
@@ -1087,6 +1222,298 @@ mod tests {
             read_records(&corrupt),
             Err(JournalError::Malformed { line: 1, .. })
         ));
+    }
+
+    fn dec(seq: u64, decision: Option<Decision>) -> DecisionRecord {
+        DecisionRecord {
+            seq,
+            decision,
+            consulted: true,
+            tripped: false,
+        }
+    }
+
+    fn encoded(rec: &DecisionRecord) -> String {
+        let mut line = String::new();
+        encode_decision(&mut line, rec);
+        line
+    }
+
+    #[test]
+    fn encoder_writes_the_golden_lines() {
+        let null = dec(1, None);
+        let plain = DecisionRecord {
+            consulted: false,
+            tripped: true,
+            ..dec(
+                22,
+                Some(Decision {
+                    job: 7,
+                    speed: 1.25,
+                    recheck_after: None,
+                }),
+            )
+        };
+        let recheck = dec(
+            333,
+            Some(Decision {
+                job: 0,
+                speed: 0.1,
+                recheck_after: Some(f64::NEG_INFINITY),
+            }),
+        );
+        let golden = [
+            (&null, r#"{"t":"dec","s":1,"c":true,"w":false,"j":null}"#),
+            (
+                &plain,
+                r#"{"t":"dec","s":22,"c":false,"w":true,"j":7,"v":"3ff4000000000000"}"#,
+            ),
+            (
+                &recheck,
+                r#"{"t":"dec","s":333,"c":true,"w":false,"j":0,"v":"3fb999999999999a","r":"fff0000000000000"}"#,
+            ),
+        ];
+        let mut j = Journal::memory();
+        for (rec, line) in golden {
+            assert_eq!(encoded(rec), line);
+            assert_eq!(decode_decision(line).as_ref(), Some(rec));
+            j.write_decision(rec).unwrap();
+        }
+        let want: String = golden.iter().map(|(_, l)| format!("{l}\n")).collect();
+        assert_eq!(j.contents().unwrap(), want);
+        assert_eq!(j.records_written(), 3);
+    }
+
+    /// A record drawn to hit the codec's edges: signed zeros, infinities,
+    /// NaN payloads, subnormals, `seq` up to 2^53, `job` up to `u32::MAX`.
+    fn random_record(rng: &mut StdRng) -> DecisionRecord {
+        let f = |rng: &mut StdRng| match rng.next_u64() % 8 {
+            0 => -0.0,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => f64::from_bits(0x7ff0_0000_0000_0000 | (rng.next_u64() >> 12).max(1)),
+            4 => f64::from_bits(rng.next_u64() >> 12), // subnormal
+            5 => rng.gen_f64() * 4.0,
+            _ => f64::from_bits(rng.next_u64()),
+        };
+        let seq = match rng.next_u64() % 4 {
+            0 => 1 << 53,
+            1 => rng.next_u64() % 10,
+            _ => rng.next_u64() % ((1 << 53) + 1),
+        };
+        let job = match rng.next_u64() % 3 {
+            0 => u32::MAX,
+            _ => rng.next_u64() as u32 >> (rng.next_u64() % 32),
+        };
+        let decision = match rng.next_u64() % 3 {
+            0 => None,
+            1 => Some(Decision {
+                job,
+                speed: f(rng),
+                recheck_after: None,
+            }),
+            _ => Some(Decision {
+                job,
+                speed: f(rng),
+                recheck_after: Some(f(rng)),
+            }),
+        };
+        DecisionRecord {
+            seq,
+            decision,
+            consulted: rng.gen_bool(0.5),
+            tripped: rng.gen_bool(0.5),
+        }
+    }
+
+    /// Bitwise equality (`PartialEq` on f64 is not: NaN != NaN, 0 == -0).
+    fn same_bits(a: &DecisionRecord, b: &DecisionRecord) -> bool {
+        let bits = |d: &Option<Decision>| {
+            d.map(|d| (d.job, d.speed.to_bits(), d.recheck_after.map(f64::to_bits)))
+        };
+        (a.seq, a.consulted, a.tripped, bits(&a.decision))
+            == (b.seq, b.consulted, b.tripped, bits(&b.decision))
+    }
+
+    /// Whenever the scanner accepts a line, the JSON parser must agree.
+    fn scanner_agrees_with_parser(line: &str) {
+        if let Some(fast) = decode_decision(line) {
+            match parse_record(line) {
+                Ok(Record::Decision(slow)) => assert!(same_bits(&fast, &slow), "{line}"),
+                other => panic!("scanner accepted `{line}`, parser gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn scanner_round_trips_random_records_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            let rec = random_record(&mut rng);
+            let line = encoded(&rec);
+            let back = decode_decision(&line).unwrap_or_else(|| panic!("rejected `{line}`"));
+            assert!(same_bits(&back, &rec), "{line}");
+            scanner_agrees_with_parser(&line);
+        }
+    }
+
+    #[test]
+    fn scanner_never_accepts_what_the_parser_reads_differently() {
+        let mut rng = StdRng::seed_from_u64(0xbad);
+        let mut accepted_mutants = 0usize;
+        for case in 0..120 {
+            let line = encoded(&random_record(&mut rng));
+            for k in 0..line.len() {
+                scanner_agrees_with_parser(&line[..k]);
+            }
+            let bytes = line.as_bytes();
+            for at in 0..bytes.len() {
+                // Every ASCII byte at every position (a non-ASCII byte
+                // would not be a `&str`); a sample of cases for speed.
+                if case >= 12 && rng.next_u64() % 4 != 0 {
+                    continue;
+                }
+                for b in 0u8..128 {
+                    let mut m = bytes.to_vec();
+                    m[at] = b;
+                    let m = String::from_utf8(m).unwrap();
+                    accepted_mutants += usize::from(decode_decision(&m).is_some());
+                    scanner_agrees_with_parser(&m);
+                }
+            }
+        }
+        // Digit flips in `s`, `j`, and the hex fields stay well-formed:
+        // the agreement check really ran on accepted mutants.
+        assert!(accepted_mutants > 1000, "{accepted_mutants}");
+    }
+
+    #[test]
+    fn scanner_rejects_lines_outside_the_writer_grammar() {
+        for line in [
+            r#"{"t":"dec","s":01,"c":true,"w":false,"j":null}"#,
+            r#"{"t":"dec","s":1,"c":true,"w":false,"j":null} "#,
+            r#"{"t":"dec", "s":1,"c":true,"w":false,"j":null}"#,
+            r#"{"s":1,"t":"dec","c":true,"w":false,"j":null}"#,
+            r#"{"t":"dec","s":9007199254740993,"c":true,"w":false,"j":null}"#,
+            r#"{"t":"dec","s":1,"c":true,"w":false,"j":4294967296,"v":"3ff0000000000000"}"#,
+            r#"{"t":"dec","s":1,"c":true,"w":false,"j":1,"v":"3FF0000000000000"}"#,
+            r#"{"t":"dec","s":1,"c":true,"w":false,"j":1,"v":"+ff0000000000000"}"#,
+            r#"{"t":"dec","s":1,"c":true,"w":false,"j":null,"v":"3ff0000000000000"}"#,
+            r#"{"t":"hdr","s":1,"c":true,"w":false,"j":null}"#,
+        ] {
+            assert_eq!(decode_decision(line), None, "{line}");
+        }
+        // Lines the scanner leaves to the parser still read as before.
+        assert_eq!(
+            parse_record(r#"{"t":"dec", "s":01,"c":true,"w":false,"j":null}"#),
+            Ok(Record::Decision(dec(1, None)))
+        );
+    }
+
+    /// A real journal: header, decisions of all three shapes, and
+    /// snapshots, from a small faulted serving run.
+    fn served_journal() -> String {
+        use crate::faults::FaultModel;
+        use crate::online::{OnlinePolicy, ReadyView};
+        use crate::serve::{ServeConfig, Server};
+        use pas_workload::generators;
+
+        struct Probe;
+        impl OnlinePolicy for Probe {
+            fn decide(&mut self, _: f64, ready: &dyn ReadyView, _: f64) -> Option<Decision> {
+                ready.first().map(|p| Decision {
+                    job: p.id,
+                    speed: 0.75 + 0.5 * p.remaining,
+                    recheck_after: (p.id % 2 == 0).then_some(0.25),
+                })
+            }
+            fn save_state(&self) -> Option<Vec<f64>> {
+                Some(vec![1.5, -0.0])
+            }
+            fn load_state(&mut self, _: &[f64]) -> bool {
+                true
+            }
+        }
+
+        let instance = generators::poisson(60, 0.8, (0.5, 1.5), 7);
+        let horizon = instance.last_release() + instance.total_work();
+        let ids: Vec<u32> = instance.jobs().iter().map(|j| j.id).collect();
+        let plan = FaultModel::uniform_mix(8.0 / horizon).sample(horizon, &ids, 7);
+        let config = ServeConfig {
+            snapshot_every: Some(16),
+            watchdog: None,
+            ..ServeConfig::default()
+        };
+        let model = pas_power::PolyPower::CUBE;
+        let mut server = Server::new(&instance, &model, &plan, config, Journal::memory()).unwrap();
+        while !server.run_for(&mut Probe, 64).unwrap() {}
+        server.journal().contents().unwrap().to_string()
+    }
+
+    #[test]
+    fn fixed_seed_journal_bytes_are_pinned() {
+        // Recorded before the decision encoder and scanner were
+        // rewritten; any change to the journal's bytes moves it.
+        let text = served_journal();
+        let mut h = Fnv::new();
+        h.bytes(text.as_bytes());
+        assert_eq!((text.len(), h.finish()), (195_347, 0x8c78_95cf_4e73_b640));
+    }
+
+    #[test]
+    fn read_records_matches_line_by_line_parsing() {
+        let text = served_journal();
+        let lines: Vec<&str> = text.lines().collect();
+        let kinds = |p: fn(&Record) -> bool| {
+            lines
+                .iter()
+                .filter(|l| parse_record(l).is_ok_and(|r| p(&r)))
+                .count()
+        };
+        assert!(kinds(|r| matches!(r, Record::Snapshot(_))) >= 2);
+        assert!(text.contains("\"j\":null") && text.contains("\"r\":\""));
+        let want: Vec<Record> = lines.iter().map(|l| parse_record(l).unwrap()).collect();
+        assert_eq!(read_records(&text).unwrap(), want);
+        // With a torn tail: the final record cut mid-line is dropped.
+        let torn = &text[..text.len() - 9];
+        assert_eq!(read_records(torn).unwrap(), want[..want.len() - 1]);
+    }
+
+    #[test]
+    fn a_short_hex_float_is_now_malformed() {
+        let mut j = Journal::memory();
+        j.write_header(1, 0, 1).unwrap();
+        let good = j.contents().unwrap().to_string();
+        let short = r#"{"t":"dec","s":1,"c":true,"w":false,"j":0,"v":"3ff000000000000"}"#;
+        let tail = encoded(&dec(2, None));
+        assert!(matches!(
+            read_records(&format!("{good}{short}\n{tail}\n")),
+            Err(JournalError::Malformed { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn decisions_out_of_sequence_are_malformed() {
+        let mut j = Journal::memory();
+        j.write_header(4, 0, 1).unwrap();
+        let header = j.contents().unwrap().to_string();
+        let body = |seqs: &[u64]| {
+            let mut text = header.clone();
+            for &s in seqs {
+                text.push_str(&encoded(&dec(s, None)));
+                text.push('\n');
+            }
+            read_records(&text)
+        };
+        let bad_at = |r: Result<Vec<Record>, JournalError>| match r {
+            Err(JournalError::Malformed { line, .. }) => line,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        assert_eq!(body(&[1, 2, 3, 4]).unwrap().len(), 5);
+        assert_eq!(bad_at(body(&[1, 3, 4])), 3, "dropped line");
+        assert_eq!(bad_at(body(&[1, 2, 2, 3])), 4, "duplicated line");
+        assert_eq!(bad_at(body(&[1, 3, 2, 4])), 3, "swapped pair");
+        assert_eq!(bad_at(body(&[2, 3])), 2, "missing first decision");
     }
 
     #[test]

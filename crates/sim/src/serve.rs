@@ -259,9 +259,9 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
             ),
         };
         let replay: VecDeque<DecisionRecord> = records
-            .iter()
+            .into_iter()
             .filter_map(|rec| match rec {
-                Record::Decision(d) if d.seq > seq => Some(d.clone()),
+                Record::Decision(d) if d.seq > seq => Some(d),
                 _ => None,
             })
             .collect();
