@@ -48,7 +48,15 @@ pub fn tradeoff_curve(
     energies: &[f64],
     tol: f64,
 ) -> Result<Vec<CurvePoint>, CoreError> {
-    let ws = FlowWorkspace::new(instance, alpha)?;
+    sweep_curve(&FlowWorkspace::new(instance, alpha)?, energies, tol)
+}
+
+/// [`tradeoff_curve`] on a given workspace.
+fn sweep_curve(
+    ws: &FlowWorkspace,
+    energies: &[f64],
+    tol: f64,
+) -> Result<Vec<CurvePoint>, CoreError> {
     let mut order: Vec<usize> = (0..energies.len()).collect();
     order.sort_by(|&i, &j| energies[i].total_cmp(&energies[j]));
     let mut points: Vec<Option<CurvePoint>> = vec![None; energies.len()];
@@ -144,6 +152,21 @@ mod tests {
                 b.energy
             );
         }
+    }
+
+    #[test]
+    fn curve_sweep_takes_the_configuration_walk() {
+        let inst = pas_workload::generators::equal_work_poisson(300, 1.5, 1.0, 7);
+        let ws = FlowWorkspace::new(&inst, 3.0).unwrap();
+        let w = inst.total_work();
+        let energies: Vec<f64> = (0..30).map(|k| w * (0.5 + 0.1 * k as f64)).collect();
+        let pts = sweep_curve(&ws, &energies, 1e-10).unwrap();
+        // The signature changes along the curve, yet after the cold
+        // start every decomposition of every search walks.
+        let signatures: std::collections::HashSet<&str> =
+            pts.iter().map(|p| p.signature.as_str()).collect();
+        assert!(signatures.len() > 10, "{signatures:?}");
+        assert_eq!(ws.sweeps(), 1);
     }
 
     #[test]

@@ -42,14 +42,27 @@
 //!    boundary can simply be frozen; the DP is what makes the structure
 //!    exact.)
 //!
-//! One `u`-evaluation is `O(n log n)` on violation-free workloads and
+//! This full sweep is `O(n log n)` on violation-free workloads and
 //! `O(n log n + Σ per-segment candidate scans)` in general — versus
 //! `O(iters·n)` with `iters` up to thousands for the damped Gauss–Seidel
 //! iteration the module used previously, which is preserved as
 //! [`solve_for_u_reference`] and held to `1e-9` agreement by the
-//! `flow_equivalence` property tests.
+//! `flow_equivalence` property tests. Its scans cost one pinned-tail
+//! solve per violated boundary: on overloaded Poisson instances at
+//! `n = 1000` that is ~900 solves for a chain that keeps ~64 of them.
 //!
-//! Two more wins layer on top:
+//! Three more wins layer on top:
+//!
+//! * **configuration walk** — the Pruhs–Uthaisombut–Woeginger
+//!   approach: adjacent `u` of a search share their configuration or
+//!   differ from it by a few block ends, so a [`FlowWorkspace`]
+//!   remembers its last decomposition, re-solves its pinned tails at
+//!   the new `u` (or runs the DP over just its block ends and the jobs
+//!   where a block must split), and certifies the result strictly
+//!   against every Theorem-1 relation. A certified walk returns exactly
+//!   the blocks the full sweep would, at `O(n)` plus one pinned-tail
+//!   solve per block end; in a curve sweep typically only the first
+//!   evaluation needs the full sweep (`FlowWorkspace::decompose`);
 //!
 //! * **cached sweep state** — the cascade prefix sums
 //!   `H[m] = Σ_{k≤m} k^{-1/α}` depend only on `α`, so a
@@ -82,6 +95,8 @@ use pas_sim::{Schedule, Slice};
 use pas_workload::Instance;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A solved flow schedule for one value of `u = σ_n^α`.
 #[derive(Debug, Clone)]
@@ -162,6 +177,16 @@ pub struct FlowSensitivity {
     pub dflow_du: f64,
 }
 
+/// Relative margin by which the configuration walk requires each
+/// Theorem-1 inequality to hold; anything closer is left to the full
+/// sweep.
+const WALK_MARGIN: f64 = 1e-9;
+
+/// `a > b` by more than [`WALK_MARGIN`] relative.
+fn clears(a: f64, b: f64) -> bool {
+    a - b > WALK_MARGIN * a.abs().max(b.abs())
+}
+
 /// Relative KKT residual accepted from a solved profile.
 const KKT_TOL: f64 = 1e-6;
 /// Time tolerance classifying the three-way completion/release split.
@@ -170,7 +195,8 @@ const TIME_TOL: f64 = 1e-7;
 /// Reusable solver state for one `(instance, α)` pair: validation is done
 /// once, and the `u`-independent cascade sums `H[m] = Σ_{k≤m} k^{-1/α}`
 /// are cached across every `u`-evaluation, so outer searches and curve
-/// sweeps pay `O(n)` setup once instead of per evaluation.
+/// sweeps pay `O(n)` setup once instead of per evaluation. It also keeps
+/// its last decomposition, from which the next one walks.
 #[derive(Debug)]
 pub struct FlowWorkspace<'a> {
     instance: &'a Instance,
@@ -183,6 +209,12 @@ pub struct FlowWorkspace<'a> {
     /// `w·u^{-1/α}·harmonic[m]`, which makes every completion inside the
     /// active block an O(1) lookup.
     harmonic: Vec<f64>,
+    /// The block list of the last decomposition: the configuration the
+    /// next one walks from.
+    chain: Mutex<Vec<BusyBlock>>,
+    /// Decompositions that needed the full sweep (the others took the
+    /// configuration walk).
+    sweeps: AtomicUsize,
 }
 
 impl<'a> FlowWorkspace<'a> {
@@ -211,6 +243,8 @@ impl<'a> FlowWorkspace<'a> {
             inv_alpha,
             work: instance.work(0),
             harmonic,
+            chain: Mutex::new(Vec::new()),
+            sweeps: AtomicUsize::new(0),
         })
     }
 
@@ -221,7 +255,16 @@ impl<'a> FlowWorkspace<'a> {
 
     /// Partition the schedule into maximal busy blocks for `u = σ_n^α`.
     ///
-    /// Two cooperating mechanisms:
+    /// First tries the **configuration walk**
+    /// (Pruhs–Uthaisombut–Woeginger, `Self::walk`): adjacent `u` of an
+    /// outer search or curve sweep share their configuration or differ
+    /// from it by a few block ends, so the previous decomposition is
+    /// re-solved at `u` over its own block ends (plus any where a block
+    /// must split) and returned if every Theorem-1 relation holds
+    /// strictly. Any failure or tie falls back to the full sweep, which
+    /// returns the same blocks whenever the walk would have.
+    ///
+    /// The full sweep has two cooperating mechanisms:
     ///
     /// 1. **Forward contact sweep.** Jobs are appended to the open
     ///    *segment* (a maximal contact run) while the merged tail-`u`
@@ -256,11 +299,132 @@ impl<'a> FlowWorkspace<'a> {
         if !is_positive_finite(u) {
             return Err(CoreError::InvalidBudget { budget: u });
         }
-        let inst = self.instance;
-        let n = inst.len();
         // Duration scale of the tail-u cascade: an m-job merged segment
         // takes c·harmonic[m] time.
         let c = self.work * u.powf(-self.inv_alpha);
+        // Threads sharing a workspace walk one at a time; the others
+        // take the full sweep rather than wait.
+        let Ok(mut chain) = self.chain.try_lock() else {
+            self.sweeps.fetch_add(1, Ordering::Relaxed);
+            return self.sweep(u, c);
+        };
+        if !self.walk(&mut chain, u, c) {
+            self.sweeps.fetch_add(1, Ordering::Relaxed);
+            *chain = self.sweep(u, c)?;
+        }
+        Ok(chain.clone())
+    }
+
+    /// Decompositions so far that needed the full sweep.
+    #[cfg(test)]
+    pub(crate) fn sweeps(&self) -> usize {
+        self.sweeps.load(Ordering::Relaxed)
+    }
+
+    /// The configuration walk: move `chain`, the previous
+    /// decomposition, to `u`, and report whether it now holds *the*
+    /// decomposition at `u`.
+    ///
+    /// First the chain keeps its configuration: its pinned tails are
+    /// re-solved with the window and clamp the full sweep would give
+    /// them (`Self::repin`), and the result is certified
+    /// (`Self::certify`). Failing that, it steps to an adjacent
+    /// configuration: its block ends, plus every job that completed by
+    /// its successor's release inside a block, become the candidates of
+    /// one `Self::resolve_segment` DP over the whole instance, whose
+    /// result is certified in turn. `O(n)` plus one pinned-tail solve
+    /// per block end, against the sweep's solve per violated boundary.
+    fn walk(&self, chain: &mut Vec<BusyBlock>, u: f64, c: f64) -> bool {
+        if chain.is_empty() {
+            return false;
+        }
+        let mut splits = Vec::new();
+        if self.repin(chain, u) && self.certify(chain, u, c, &mut splits) {
+            return true;
+        }
+        let mut ends: Vec<usize> = chain.iter().map(|b| b.last).collect();
+        ends.append(&mut splits);
+        let n = self.instance.len();
+        let Ok((blocks, _)) = self.resolve_segment(u, c, 0, n - 1, &ends) else {
+            return false;
+        };
+        *chain = blocks;
+        self.certify(chain, u, c, &mut splits)
+    }
+
+    /// Re-solve `chain`'s tails at `u` in place, right to left: `u` for
+    /// a tail-`u` block, and for a pinned one `Self::pin_tail` with the
+    /// arguments `Self::resolve_segment` passes — the window to the next
+    /// release and the clamp `FS(next) + u` — so the same bits.
+    fn repin(&self, chain: &mut [BusyBlock], u: f64) -> bool {
+        let mut next_first_speed = f64::NAN;
+        for b in chain.iter_mut().rev() {
+            let jobs = b.len();
+            if b.pinned {
+                let avail = self.instance.release(b.last + 1) - b.start;
+                match self.pin_tail(jobs, avail, u, next_first_speed + u) {
+                    Ok(v) => b.tail = v,
+                    Err(_) => return false,
+                }
+            } else {
+                b.tail = u;
+            }
+            next_first_speed = b.tail + (jobs - 1) as f64 * u;
+        }
+        true
+    }
+
+    /// Whether `blocks` meet every Theorem-1 relation at `u`, each by
+    /// more than [`WALK_MARGIN`]:
+    ///
+    /// * a tail-`u` block ends before the next release (Gap);
+    /// * a pinned block overruns its window at tail `u` and fits at the
+    ///   clamp `FS(next) + u` (Boundary, tail strictly inside the
+    ///   Theorem-1 interval);
+    /// * every other job completes after the next release (Push) —
+    ///   each that does not is pushed onto `splits`.
+    ///
+    /// Blocks meeting all of them are the unique Theorem-1 profile at
+    /// `u`, and with no tie their block list is the unique one the full
+    /// sweep builds.
+    fn certify(&self, blocks: &[BusyBlock], u: f64, c: f64, splits: &mut Vec<usize>) -> bool {
+        let inst = self.instance;
+        let mut ok = true;
+        // FS of the block after the one being checked.
+        let mut next_first_speed = f64::NAN;
+        for b in blocks.iter().rev() {
+            let jobs = b.len();
+            if b.pinned {
+                let avail = inst.release(b.last + 1) - b.start;
+                let clamp = next_first_speed + u;
+                ok &= clears(c * self.harmonic[jobs], avail)
+                    && clears(avail, self.block_duration(jobs, clamp, u));
+            } else if b.last + 1 < inst.len() {
+                ok &= clears(inst.release(b.last + 1) - b.start, c * self.harmonic[jobs]);
+            }
+            // Elapsed block time at each job's completion.
+            let mut done = 0.0;
+            for i in b.first..b.last {
+                let k = b.last - i;
+                done = if b.pinned {
+                    done + self.work * (b.tail + k as f64 * u).powf(-self.inv_alpha)
+                } else {
+                    c * (self.harmonic[jobs] - self.harmonic[k])
+                };
+                if !clears(done, inst.release(i + 1) - b.start) {
+                    ok = false;
+                    splits.push(i);
+                }
+            }
+            next_first_speed = b.tail + (jobs - 1) as f64 * u;
+        }
+        ok
+    }
+
+    /// The full decomposition at `u` (see [`FlowWorkspace::decompose`]).
+    fn sweep(&self, u: f64, c: f64) -> Result<Vec<BusyBlock>, CoreError> {
+        let inst = self.instance;
+        let n = inst.len();
 
         let mut blocks: Vec<BusyBlock> = Vec::new();
         // Open segment: jobs a..=j-1 starting at s (= release(a)).
@@ -467,6 +631,11 @@ impl<'a> FlowWorkspace<'a> {
     /// per probe — `O(|pending|²)` probes worst case, with `pending`
     /// empty for the vast majority of segments (handled by the caller
     /// without entering this function at all).
+    ///
+    /// The configuration walk calls it over the whole instance with a
+    /// *guessed* candidate set (the previous chain's block ends): a
+    /// tail-`u` fit then closes a block at a gap too, and the result is
+    /// only a proposal until `Self::certify` accepts it.
     fn resolve_segment(
         &self,
         u: f64,

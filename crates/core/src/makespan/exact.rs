@@ -307,6 +307,79 @@ mod tests {
         }
     }
 
+    /// Small rational instances (the paper's, plus a deterministic family
+    /// with quarter-step releases, some simultaneous, and third-step
+    /// works) as exact jobs and as the matching float instance.
+    fn rational_instances() -> Vec<(Vec<ExactJob>, pas_workload::Instance)> {
+        let mut out = vec![paper_jobs()];
+        for seed in 0..12i128 {
+            let mut release = Rational::ZERO;
+            let jobs = (0..3 + seed % 4)
+                .map(|k| {
+                    release = release + r((seed * 5 + k * 3) % 7, 4);
+                    ExactJob {
+                        release,
+                        work: r(1 + (seed * 7 + k * 11) % 9, 3),
+                    }
+                })
+                .collect();
+            out.push(jobs);
+        }
+        out.into_iter()
+            .map(|jobs| {
+                let pairs: Vec<(f64, f64)> = jobs
+                    .iter()
+                    .map(|j| (j.release.to_f64(), j.work.to_f64()))
+                    .collect();
+                let inst = pas_workload::Instance::from_pairs(&pairs).unwrap();
+                (jobs, inst)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn float_solvers_stay_as_close_to_exact_as_measured() {
+        use crate::makespan::incmerge;
+        use pas_power::PolyPower;
+        let model = PolyPower::CUBE;
+        // At rational deadline D the exact server energy E* is rational:
+        // the float server must spend E* at D, and the float laptop
+        // given E* must finish at D.
+        let (mut server_err, mut laptop_err) = (0.0f64, 0.0f64);
+        for (jobs, inst) in rational_instances() {
+            let last = jobs.iter().map(|j| j.release).max().unwrap();
+            for (dn, dd) in [
+                (1i128, 4i128),
+                (1, 2),
+                (1, 1),
+                (3, 2),
+                (2, 1),
+                (3, 1),
+                (5, 1),
+                (8, 1),
+            ] {
+                let deadline = last + r(dn, dd);
+                let (_, exact) = server_exact(&jobs, 3, deadline).unwrap();
+                let (d, e) = (deadline.to_f64(), exact.to_f64());
+                let srv = incmerge::server(&inst, &model, d).unwrap().energy(&model);
+                server_err = server_err.max((srv - e).abs() / e);
+                let lap = incmerge::laptop(&inst, &model, e).unwrap().makespan();
+                laptop_err = laptop_err.max((lap - d).abs() / d);
+            }
+        }
+        // The worst relative errors of the IncMerge that kept a running
+        // energy ledger (4.32e-16 and 1.04e-15): the prefix-sum phase 2
+        // must be no further from exact.
+        assert!(
+            server_err <= 4.33e-16,
+            "server drifted {server_err:e} from exact"
+        );
+        assert!(
+            laptop_err <= 1.04e-15,
+            "laptop drifted {laptop_err:e} from exact"
+        );
+    }
+
     #[test]
     fn breakpoints_match_float_frontier_on_rational_instances() {
         use crate::makespan::frontier::Frontier;

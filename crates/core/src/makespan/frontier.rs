@@ -26,6 +26,7 @@
 
 use crate::error::CoreError;
 use crate::makespan::blocks::{Block, BlockSchedule};
+use crate::makespan::incmerge::{exact_fit_stack, prefix_energies};
 use pas_power::PowerModel;
 use pas_workload::Instance;
 
@@ -72,62 +73,11 @@ impl Frontier {
     /// `O(n)` time and space after the instance's release sort.
     pub fn build<M: PowerModel>(instance: &Instance, model: &M) -> Frontier {
         let n = instance.len();
-        // Phase 1 of IncMerge: exact-fit blocks for jobs 0..n-1.
-        #[derive(Clone, Copy)]
-        struct Seg {
-            first: usize,
-            last: usize,
-            work: f64,
-            start: f64,
-            window_end: f64,
-        }
-        let speed_of = |s: &Seg| {
-            let d = s.window_end - s.start;
-            if d <= 0.0 {
-                f64::INFINITY
-            } else {
-                s.work / d
-            }
-        };
-        let mut stack: Vec<Seg> = Vec::with_capacity(n);
-        for k in 0..n.saturating_sub(1) {
-            stack.push(Seg {
-                first: k,
-                last: k,
-                work: instance.work(k),
-                start: instance.release(k),
-                window_end: instance.release(k + 1),
-            });
-            while stack.len() >= 2 {
-                let top = stack[stack.len() - 1];
-                let prev = stack[stack.len() - 2];
-                if speed_of(&top) < speed_of(&prev) {
-                    stack.pop();
-                    stack.pop();
-                    stack.push(Seg {
-                        first: prev.first,
-                        last: top.last,
-                        work: prev.work + top.work,
-                        start: prev.start,
-                        window_end: top.window_end,
-                    });
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // The fastest configuration: stacked exact-fit blocks + {n-1}.
-        let mut base_blocks: Vec<Block> = stack
-            .iter()
-            .map(|s| Block {
-                first: s.first,
-                last: s.last,
-                work: s.work,
-                start: s.start,
-                speed: speed_of(s),
-            })
-            .collect();
+        // IncMerge's phase 1; its survivors are the fixed blocks of the
+        // fastest configuration, followed by {n-1}.
+        let mut base_blocks = exact_fit_stack(instance, n - 1, instance.release(n - 1));
+        // prefix_energy[k] = energy of blocks 0..k.
+        let prefix_energy = prefix_energies(&base_blocks, model);
         base_blocks.push(Block {
             first: n - 1,
             last: n - 1,
@@ -135,16 +85,6 @@ impl Frontier {
             start: instance.release(n - 1),
             speed: f64::NAN,
         });
-
-        // Prefix energies of the fixed blocks (prefix_energy[k] = energy
-        // of blocks 0..k).
-        let mut prefix_energy = Vec::with_capacity(base_blocks.len());
-        let mut acc = 0.0;
-        prefix_energy.push(0.0);
-        for b in &base_blocks[..base_blocks.len() - 1] {
-            acc += model.energy(b.work, b.speed);
-            prefix_energy.push(acc);
-        }
 
         // Enumerate configurations from fastest to slowest.
         let mut segments = Vec::with_capacity(base_blocks.len());
@@ -261,12 +201,10 @@ impl Frontier {
     /// [`CoreError::UnreachableTarget`] when `t` is at or below the final
     /// job's release time.
     pub fn energy_for_makespan<M: PowerModel>(&self, model: &M, t: f64) -> Result<f64, CoreError> {
-        // Find the first (fastest) segment whose slow-end makespan reaches t.
-        let seg = self
-            .segments
-            .iter()
-            .find(|s| t <= s.makespan_at_min)
-            .unwrap_or_else(|| self.segments.last().expect("non-empty"));
+        // The first (fastest) segment whose slow-end makespan reaches t;
+        // makespan_at_min rises with the segment index.
+        let idx = self.segments.partition_point(|s| s.makespan_at_min < t);
+        let seg = &self.segments[idx.min(self.segments.len() - 1)];
         if t <= seg.last_start {
             return Err(CoreError::UnreachableTarget {
                 reason: format!(
@@ -521,6 +459,60 @@ mod tests {
     }
 
     #[test]
+    fn energy_for_makespan_search_matches_linear_scan() {
+        use pas_workload::generators;
+        let model = PolyPower::new(2.5);
+        let mut infinite_blocks = 0;
+        for seed in 0..20 {
+            let inst = generators::uniform(40, 50.0, (0.5, 3.0), seed);
+            // The same jobs with releases snapped to a coarse grid:
+            // simultaneous releases give infinite-speed blocks.
+            let snapped: Vec<(f64, f64)> = inst
+                .jobs()
+                .iter()
+                .map(|j| ((j.release / 10.0).floor() * 10.0, j.work))
+                .collect();
+            let snapped = Instance::from_pairs(&snapped).unwrap();
+            for inst in [inst, snapped] {
+                let f = Frontier::build(&inst, &model);
+                infinite_blocks += f
+                    .base_blocks
+                    .iter()
+                    .filter(|b| b.speed.is_infinite())
+                    .count();
+                let slow_ends: Vec<f64> = f.segments().iter().map(|s| s.makespan_at_min).collect();
+                assert!(slow_ends.windows(2).all(|w| w[0] <= w[1]), "{slow_ends:?}");
+                let mut probes: Vec<f64> = slow_ends
+                    .iter()
+                    .copied()
+                    .filter(|t| t.is_finite())
+                    .collect();
+                let last = inst.release(inst.len() - 1);
+                probes.extend((0..200).map(|k| last - 1.0 + 0.25 * k as f64));
+                for t in probes {
+                    let seg = f
+                        .segments()
+                        .iter()
+                        .find(|s| t <= s.makespan_at_min)
+                        .unwrap_or_else(|| f.segments().last().unwrap());
+                    let got = f.energy_for_makespan(&model, t);
+                    if t <= seg.last_start {
+                        assert!(got.is_err(), "t={t}: {got:?}");
+                    } else {
+                        let speed = seg.last_work / (t - seg.last_start);
+                        let want = seg.prefix_energy + model.energy(seg.last_work, speed);
+                        assert_eq!(got.unwrap().to_bits(), want.to_bits(), "t={t}");
+                    }
+                }
+            }
+        }
+        assert!(
+            infinite_blocks > 0,
+            "no instance exercised an infinite-speed block"
+        );
+    }
+
+    #[test]
     fn frontier_matches_incmerge_on_random_instances() {
         use pas_workload::generators;
         let model = PolyPower::new(2.5);
@@ -531,8 +523,10 @@ mod tests {
                 let e = 2.0 * k as f64;
                 let a = f.makespan(&model, e).unwrap();
                 let b = incmerge::laptop(&inst, &model, e).unwrap().makespan();
+                // Same phase 1 and the same prefix energies: the two agree
+                // bit for bit away from configuration changes.
                 assert!(
-                    (a - b).abs() < 1e-6 * a.max(1.0),
+                    (a - b).abs() <= 1e-12 * a.max(1.0),
                     "seed {seed} E={e}: {a} vs {b}"
                 );
             }

@@ -9,6 +9,17 @@
 //! (Lemma 4) — while the final block's speed is chosen to spend exactly
 //! the remaining energy budget. Each job ceases to be the head of a block
 //! at most once, so the whole run is `O(n)` after sorting.
+//!
+//! The run splits in two phases. Phase 1 (`exact_fit_stack`) merges the
+//! exact-fit blocks of every job but the last; it is shared with
+//! [`Frontier::build`](crate::makespan::frontier::Frontier::build) and,
+//! with the deadline as the final window end, is the whole of
+//! [`server`]. Phase 2 of [`laptop`] pops survivors into the
+//! budget-driven final block, reading the energy left for it from a
+//! prefix sum of the survivors' energies computed once
+//! (`prefix_energies`), so the laptop makespan equals the frontier's
+//! closed form at the same budget, bit for bit away from a budget that
+//! lands on a configuration change.
 
 use crate::error::CoreError;
 use crate::makespan::blocks::{Block, BlockSchedule};
@@ -16,65 +27,71 @@ use pas_numeric::compare::is_positive_finite;
 use pas_power::PowerModel;
 use pas_workload::Instance;
 
-/// Working segment on the merge stack.
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    first: usize,
-    last: usize,
-    work: f64,
-    start: f64,
-    /// Exact-fit end for non-final segments: the release of job
-    /// `last + 1` (or the server deadline). Unused for the energy-driven
-    /// final segment of the laptop problem.
-    window_end: f64,
+/// Exact-fit speed of `work` over `[start, end]` (`inf` when the window
+/// is empty — simultaneous releases; such a block merges immediately).
+fn exact_fit_speed(work: f64, start: f64, end: f64) -> f64 {
+    let d = end - start;
+    if d <= 0.0 {
+        f64::INFINITY
+    } else {
+        work / d
+    }
 }
 
-impl Seg {
-    /// Exact-fit speed (`inf` when the window is empty — simultaneous
-    /// releases; such a segment merges immediately).
-    fn exact_fit_speed(&self) -> f64 {
-        let d = self.window_end - self.start;
-        if d <= 0.0 {
+/// Phase 1 of `IncMerge`: jobs `0..jobs` as exact-fit blocks, job `k`'s
+/// window ending at the release of job `k + 1` (at `end` for the last
+/// of them), each merged leftward while it runs slower than its
+/// predecessor. Returns the surviving blocks, speeds non-decreasing.
+pub(crate) fn exact_fit_stack(instance: &Instance, jobs: usize, end: f64) -> Vec<Block> {
+    let mut stack: Vec<Block> = Vec::with_capacity(jobs);
+    for k in 0..jobs {
+        let window_end = if k + 1 < jobs {
+            instance.release(k + 1)
+        } else {
+            end
+        };
+        let (work, start) = (instance.work(k), instance.release(k));
+        let mut top = Block {
+            first: k,
+            last: k,
+            work,
+            start,
+            speed: exact_fit_speed(work, start, window_end),
+        };
+        while let Some(&prev) = stack.last() {
+            if top.speed >= prev.speed {
+                break;
+            }
+            stack.pop();
+            top.first = prev.first;
+            top.work += prev.work;
+            top.start = prev.start;
+            top.speed = exact_fit_speed(top.work, top.start, window_end);
+        }
+        stack.push(top);
+    }
+    // Few blocks survive; hand back no more memory than they need.
+    stack.shrink_to_fit();
+    stack
+}
+
+/// `prefix[k]` = the energy of `blocks[..k]`, summed once. A non-finite
+/// block energy (an empty window's infinite speed) makes that prefix and
+/// every later one infinite, so budget arithmetic never meets `inf − inf`.
+pub(crate) fn prefix_energies<M: PowerModel>(blocks: &[Block], model: &M) -> Vec<f64> {
+    let mut prefix = Vec::with_capacity(blocks.len() + 1);
+    let mut acc = 0.0;
+    prefix.push(acc);
+    for b in blocks {
+        let e = model.energy(b.work, b.speed);
+        acc = if e.is_finite() {
+            acc + e
+        } else {
             f64::INFINITY
-        } else {
-            self.work / d
-        }
+        };
+        prefix.push(acc);
     }
-}
-
-/// Running total of stacked segment energies that stays NaN-free when
-/// zero-width windows produce infinite exact-fit energies: infinities are
-/// counted, not summed, so `inf - inf` never happens.
-#[derive(Debug, Default)]
-struct EnergyLedger {
-    finite: f64,
-    infinite: usize,
-}
-
-impl EnergyLedger {
-    fn add(&mut self, e: f64) {
-        if e.is_finite() {
-            self.finite += e;
-        } else {
-            self.infinite += 1;
-        }
-    }
-
-    fn remove(&mut self, e: f64) {
-        if e.is_finite() {
-            self.finite -= e;
-        } else {
-            self.infinite -= 1;
-        }
-    }
-
-    fn total(&self) -> f64 {
-        if self.infinite > 0 {
-            f64::INFINITY
-        } else {
-            self.finite
-        }
-    }
+    prefix
 }
 
 /// Solve the **laptop problem**: minimize makespan subject to total
@@ -97,76 +114,36 @@ pub fn laptop<M: PowerModel>(
         return Err(CoreError::InvalidBudget { budget });
     }
     let n = instance.len();
-    let mut stack: Vec<Seg> = Vec::with_capacity(n);
-    // Running total of the exact-fit energies of all stacked segments
-    // (final phase subtracts the top as needed).
-    let mut ledger = EnergyLedger::default();
-
-    // Phase 1: jobs 0..n-1 with exact-fit windows.
-    for k in 0..n.saturating_sub(1) {
-        let seg = Seg {
-            first: k,
-            last: k,
-            work: instance.work(k),
-            start: instance.release(k),
-            window_end: instance.release(k + 1),
-        };
-        ledger.add(model.energy(seg.work, seg.exact_fit_speed()));
-        stack.push(seg);
-        merge_exact_fit(&mut stack, &mut ledger, model);
-    }
+    let mut blocks = exact_fit_stack(instance, n - 1, instance.release(n - 1));
+    let prefix = prefix_energies(&blocks, model);
 
     // Phase 2: the final job; speed balanced against the energy budget.
-    let mut fin = Seg {
+    let mut fin = Block {
         first: n - 1,
         last: n - 1,
         work: instance.work(n - 1),
         start: instance.release(n - 1),
-        window_end: f64::NAN, // energy-driven, no exact-fit window
+        speed: f64::NAN,
     };
     loop {
-        let rem = budget - ledger.total();
+        let rem = budget - prefix[blocks.len()];
         let speed = if rem > 0.0 {
             Some(model.speed_for_block(fin.work, rem)?)
         } else {
             None // over budget: must absorb the predecessor
         };
-        let pred_speed = stack.last().map(Seg::exact_fit_speed);
-        let must_merge = match (speed, pred_speed) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some(s), Some(p)) => s < p,
-        };
-        if must_merge {
-            let pred = stack.pop().expect("pred exists");
-            ledger.remove(model.energy(pred.work, pred.exact_fit_speed()));
-            fin = Seg {
-                first: pred.first,
-                last: fin.last,
-                work: pred.work + fin.work,
-                start: pred.start,
-                window_end: f64::NAN,
-            };
-        } else {
-            let speed = speed.expect("no predecessor left implies rem > 0");
-            let mut blocks: Vec<Block> = stack
-                .iter()
-                .map(|s| Block {
-                    first: s.first,
-                    last: s.last,
-                    work: s.work,
-                    start: s.start,
-                    speed: s.exact_fit_speed(),
-                })
-                .collect();
-            blocks.push(Block {
-                first: fin.first,
-                last: fin.last,
-                work: fin.work,
-                start: fin.start,
-                speed,
-            });
-            return Ok(BlockSchedule::new(blocks));
+        match blocks.last() {
+            Some(pred) if speed.is_none_or(|s| s < pred.speed) => {
+                fin.first = pred.first;
+                fin.work += pred.work;
+                fin.start = pred.start;
+                blocks.pop();
+            }
+            _ => {
+                fin.speed = speed.expect("no predecessor left implies rem > 0");
+                blocks.push(fin);
+                return Ok(BlockSchedule::new(blocks));
+            }
         }
     }
 }
@@ -174,17 +151,18 @@ pub fn laptop<M: PowerModel>(
 /// Solve the **server problem**: minimize energy subject to completing
 /// all jobs by `deadline`.
 ///
-/// Implemented as `IncMerge` with the deadline acting as a sentinel
-/// release after the last job, making *every* block exact-fit. Linear
-/// time; compare with the quadratic
-/// [`moveright`](crate::makespan::moveright) baseline.
+/// Implemented as `IncMerge`'s phase 1 with the deadline acting as a
+/// sentinel release after the last job, making *every* block exact-fit.
+/// The optimal blocks do not depend on the (convex) power model; it is
+/// taken for symmetry with [`laptop`]. Linear time; compare with the
+/// quadratic [`moveright`](crate::makespan::moveright) baseline.
 ///
 /// # Errors
 /// [`CoreError::UnreachableTarget`] when `deadline` is not strictly after
 /// the last release (no finite speed can help).
 pub fn server<M: PowerModel>(
     instance: &Instance,
-    model: &M,
+    _model: &M,
     deadline: f64,
 ) -> Result<BlockSchedule, CoreError> {
     if !pas_numeric::compare::strictly_exceeds(deadline, instance.last_release()) {
@@ -195,62 +173,11 @@ pub fn server<M: PowerModel>(
             ),
         });
     }
-    let n = instance.len();
-    let mut stack: Vec<Seg> = Vec::with_capacity(n);
-    let mut ledger = EnergyLedger::default();
-    for k in 0..n {
-        let seg = Seg {
-            first: k,
-            last: k,
-            work: instance.work(k),
-            start: instance.release(k),
-            window_end: if k + 1 < n {
-                instance.release(k + 1)
-            } else {
-                deadline
-            },
-        };
-        ledger.add(model.energy(seg.work, seg.exact_fit_speed()));
-        stack.push(seg);
-        merge_exact_fit(&mut stack, &mut ledger, model);
-    }
-    let blocks = stack
-        .iter()
-        .map(|s| Block {
-            first: s.first,
-            last: s.last,
-            work: s.work,
-            start: s.start,
-            speed: s.exact_fit_speed(),
-        })
-        .collect();
-    Ok(BlockSchedule::new(blocks))
-}
-
-/// Merge the top of the stack leftward while it is slower than its
-/// predecessor (both exact-fit).
-fn merge_exact_fit<M: PowerModel>(stack: &mut Vec<Seg>, ledger: &mut EnergyLedger, model: &M) {
-    while stack.len() >= 2 {
-        let top = stack[stack.len() - 1];
-        let prev = stack[stack.len() - 2];
-        if top.exact_fit_speed() < prev.exact_fit_speed() {
-            stack.pop();
-            stack.pop();
-            ledger.remove(model.energy(top.work, top.exact_fit_speed()));
-            ledger.remove(model.energy(prev.work, prev.exact_fit_speed()));
-            let merged = Seg {
-                first: prev.first,
-                last: top.last,
-                work: prev.work + top.work,
-                start: prev.start,
-                window_end: top.window_end,
-            };
-            ledger.add(model.energy(merged.work, merged.exact_fit_speed()));
-            stack.push(merged);
-        } else {
-            break;
-        }
-    }
+    Ok(BlockSchedule::new(exact_fit_stack(
+        instance,
+        instance.len(),
+        deadline,
+    )))
 }
 
 #[cfg(test)]

@@ -12,10 +12,15 @@
 //! boundary-configuration window where the optimal configuration
 //! signature changes — the mirror of `yds_equivalence.rs` for the flow
 //! stack.
+//!
+//! A workspace that has already decomposed other `u` takes the
+//! configuration walk; it must return exactly (`==`) the blocks a fresh
+//! workspace's full sweep returns, along monotone, jittered and
+//! configuration-crossing `u` sequences.
 
 use power_aware_scheduling::flow::hardness;
 use power_aware_scheduling::flow::solver::{
-    laptop, laptop_reference, solve_for_u, solve_for_u_reference,
+    laptop, laptop_reference, solve_for_u, solve_for_u_reference, FlowWorkspace,
 };
 use power_aware_scheduling::workload::strategies;
 use power_aware_scheduling::workload::{generators, Instance};
@@ -156,6 +161,67 @@ fn hardness_window_budgets_agree_across_signature_changes() {
     assert_eq!(sig(20.0), "PG");
 }
 
+/// Decompose `us` in order on one warm workspace, each against a fresh
+/// workspace's decomposition at the same `u`.
+fn check_walk(inst: &Instance, alpha: f64, us: &[f64]) -> Result<(), String> {
+    let warm = FlowWorkspace::new(inst, alpha).unwrap();
+    for &u in us {
+        let got = warm.decompose(u).unwrap();
+        let want = FlowWorkspace::new(inst, alpha)
+            .unwrap()
+            .decompose(u)
+            .unwrap();
+        if got != want {
+            return Err(format!("u={u}: warm {got:?} vs fresh {want:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// `count` values rising geometrically from `u0` by `growth` overall, and
+/// the same values jittered alternately up and down by `jitter` — the
+/// shape of a bracketing Newton search.
+fn u_sequences(u0: f64, growth: f64, jitter: f64, count: usize) -> [Vec<f64>; 2] {
+    let monotone: Vec<f64> = (0..count)
+        .map(|k| u0 * growth.powf(k as f64 / (count - 1) as f64))
+        .collect();
+    let jittered = monotone
+        .iter()
+        .enumerate()
+        .map(|(k, u)| u * (1.0 + if k % 2 == 0 { jitter } else { -0.7 * jitter }))
+        .collect();
+    [monotone, jittered]
+}
+
+#[test]
+fn walk_crosses_the_hardness_window_like_a_fresh_sweep() {
+    // u across the Theorem-8 witness's boundary window (PP → P= → PG),
+    // both ways, and hugging both configuration changes.
+    let inst = hardness::witness_instance();
+    let (lo, hi) = hardness::measured_boundary_window();
+    let u_at = |e: f64| laptop(&inst, 3.0, e, 1e-13).unwrap().u;
+    let (u_lo, u_hi) = (u_at(lo), u_at(hi));
+    let mut us: Vec<f64> = (0..=60)
+        .map(|k| 0.5 * u_lo * (4.0 * u_hi / u_lo).powf(k as f64 / 60.0))
+        .collect();
+    for edge in [u_lo, u_hi] {
+        us.extend([-1e-6, 1e-9, -1e-12, 0.0, 1e-12, -1e-9, 1e-6].map(|d| edge * (1.0 + d)));
+    }
+    check_walk(&inst, 3.0, &us).unwrap();
+    us.reverse();
+    check_walk(&inst, 3.0, &us).unwrap();
+}
+
+#[test]
+fn walk_follows_a_poisson_curve_like_a_fresh_sweep() {
+    for seed in 0..6 {
+        let inst = generators::equal_work_poisson(300, 1.5, 1.0, seed);
+        for us in u_sequences(0.05, 400.0, 0.05, 80) {
+            check_walk(&inst, 3.0, &us).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -189,5 +255,32 @@ proptest! {
             (fast.total_flow - slow.total_flow).abs() <= 1e-7 * slow.total_flow,
             "flow {} vs {}", fast.total_flow, slow.total_flow
         );
+    }
+
+    #[test]
+    fn warm_workspace_decomposes_like_a_fresh_one(
+        instance in strategies::equal_work_instances(24),
+        grid in 0.0f64..12.0,
+        u0 in 0.05f64..8.0,
+        growth in 0.02f64..50.0,
+        jitter in 0.0f64..0.3,
+        alpha in 2.0f64..3.5,
+    ) {
+        // Snapping releases to a grid of step >= 1 makes many of them
+        // simultaneous.
+        let instance = if grid < 1.0 {
+            instance
+        } else {
+            let releases: Vec<f64> = instance
+                .jobs()
+                .iter()
+                .map(|j| (j.release / grid).floor() * grid)
+                .collect();
+            Instance::equal_work(&releases, instance.work(0)).unwrap()
+        };
+        for us in u_sequences(u0, growth, jitter, 24) {
+            let walked = check_walk(&instance, alpha, &us);
+            prop_assert!(walked.is_ok(), "{walked:?}");
+        }
     }
 }

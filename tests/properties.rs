@@ -43,7 +43,10 @@ proptest! {
         let frontier = Frontier::build(&instance, &model);
         let a = frontier.makespan(&model, budget).unwrap();
         let b = makespan::laptop(&instance, &model, budget).unwrap().makespan();
-        prop_assert!((a - b).abs() < 1e-6 * a.max(1.0), "frontier {a} vs incmerge {b}");
+        // One shared phase 1 and prefix-sum energies: measured equal bit
+        // for bit; the bound leaves room only for a budget that lands on
+        // a configuration change.
+        prop_assert!((a - b).abs() <= 1e-12 * a.max(1.0), "frontier {a} vs incmerge {b}");
     }
 
     #[test]
