@@ -1,226 +1,60 @@
-//! Print the `scaling` experiment tables as CSV to stdout.
+//! The scaling sweeps and the `BENCH_*.json` perf records:
 //!
-//! Modes:
-//! * no args — the E4/E5 makespan-solver sweep plus quick E19 (YDS),
-//!   E20 (flow), E21 (multiproc partition), and E22 (OA) sweeps with
-//!   the references capped so the run stays fast;
-//! * `--bench-json [DIR]` — the acceptance sweeps written as per-path
-//!   bench files `DIR/BENCH_yds.json`, `DIR/BENCH_flow.json`,
-//!   `DIR/BENCH_multi.json`, `DIR/BENCH_oa.json`,
-//!   `DIR/BENCH_faults.json`, `DIR/BENCH_serve.json`,
-//!   `DIR/BENCH_policies.json`, `DIR/BENCH_fleet.json`, and
-//!   `DIR/BENCH_fleet_par.json` (default `.`), the perf-trajectory
-//!   records successive PRs compare against.
-//!   Expect tens of minutes: the YDS reference is `O(n⁴)` through
-//!   n=2000, the flow reference curve is ~120 cold bisection solves of
-//!   an `O(iters·n)` engine at n=1000, and the multiproc reference is
-//!   an exponential branch and bound measured through the n=30/m=8
-//!   witness — that cost is the point. (The OA sweep is the cheap one:
-//!   its reference is `O(n·D log n)`, measured through n=20000.);
-//! * `--bench-json --smoke [DIR]` — the same files from a seconds-scale
-//!   tier (small sizes, capped references), exercised in CI so the bench
-//!   plumbing can never rot;
-//! * `--only yds` / `--only flow` / `--only multi` / `--only oa` /
-//!   `--only faults` / `--only serve` / `--only policies` /
-//!   `--only fleet` / `--only fleet-par` — restrict either mode to one
-//!   path (the other `BENCH_*.json` files are left untouched).
-use pas_bench::experiments::{faults, fleet, fleet_par, online_budget, scaling, serve};
+//! ```text
+//! exp-scaling [--bench-json [DIR]] [--smoke] [--only NAME]
+//! ```
+//!
+//! Without `--bench-json` it prints the E4/E5 makespan sweep and every
+//! record's quick-tier table. With it, each record is measured (at the
+//! acceptance sizes — tens of minutes — or the seconds-scale `--smoke`
+//! tier), written as `DIR/BENCH_<name>.json.tmp` (DIR defaults to
+//! `.`), read back, and checked by its gate; only a record whose gate
+//! holds is renamed over `DIR/BENCH_<name>.json`. `--only` picks one
+//! record (see `pas_bench::records::RECORDS`). Flags go in any order;
+//! DIR is the one argument that is not a flag. Bad arguments exit 2, a
+//! failed gate 1 (its `.tmp` file is left for inspection).
+use pas_bench::bench_file;
+use pas_bench::experiments::scaling;
+use pas_bench::harness::Tier;
+use pas_bench::records::{parse_args, RECORDS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let only = args
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "exp-scaling: {e}\nusage: exp-scaling [--bench-json [DIR]] [--smoke] [--only NAME]"
+        );
+        std::process::exit(2);
+    });
+    let records = RECORDS
         .iter()
-        .position(|a| a == "--only")
-        .and_then(|p| args.get(p + 1))
-        .cloned();
-    if let Some(o) = only.as_deref() {
-        if ![
-            "yds",
-            "flow",
-            "multi",
-            "oa",
-            "faults",
-            "serve",
-            "policies",
-            "fleet",
-            "fleet-par",
-        ]
-        .contains(&o)
-        {
-            eprintln!(
-                "--only takes `yds`, `flow`, `multi`, `oa`, `faults`, `serve`, `policies`, `fleet`, or `fleet-par`, got `{o}`"
-            );
-            std::process::exit(2);
+        .filter(|r| args.only.is_none_or(|only| only == r.name));
+    if args.tier == Tier::Quick {
+        for table in scaling::run() {
+            table.print();
+            println!();
         }
-    }
-    let run_yds = only.as_deref().is_none_or(|o| o == "yds");
-    let run_flow = only.as_deref().is_none_or(|o| o == "flow");
-    let run_multi = only.as_deref().is_none_or(|o| o == "multi");
-    let run_oa = only.as_deref().is_none_or(|o| o == "oa");
-    let run_faults = only.as_deref().is_none_or(|o| o == "faults");
-    let run_serve = only.as_deref().is_none_or(|o| o == "serve");
-    let run_policies = only.as_deref().is_none_or(|o| o == "policies");
-    let run_fleet = only.as_deref().is_none_or(|o| o == "fleet");
-    let run_fleet_par = only.as_deref().is_none_or(|o| o == "fleet-par");
-
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        let dir = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .filter(|a| !a.starts_with("--"))
-            .unwrap_or(".");
-        if run_yds {
-            let points = if smoke {
-                scaling::yds_scaling(&[64, 128], 128)
-            } else {
-                scaling::yds_scaling_default()
-            };
-            scaling::yds_table(&points).print();
-            let path = format!("{dir}/BENCH_yds.json");
-            std::fs::write(&path, scaling::yds_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_flow {
-            let points = if smoke {
-                scaling::flow_scaling_smoke()
-            } else {
-                scaling::flow_scaling_default()
-            };
-            scaling::flow_table(&points).print();
-            let path = format!("{dir}/BENCH_flow.json");
-            std::fs::write(&path, scaling::flow_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_multi {
-            let points = if smoke {
-                scaling::multi_scaling_smoke()
-            } else {
-                scaling::multi_scaling_default()
-            };
-            scaling::multi_table(&points).print();
-            let path = format!("{dir}/BENCH_multi.json");
-            std::fs::write(&path, scaling::multi_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_oa {
-            let points = if smoke {
-                scaling::oa_scaling_smoke()
-            } else {
-                scaling::oa_scaling_default()
-            };
-            scaling::oa_table(&points).print();
-            let path = format!("{dir}/BENCH_oa.json");
-            std::fs::write(&path, scaling::oa_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_faults {
-            let points = if smoke {
-                faults::faults_smoke()
-            } else {
-                faults::faults_default()
-            };
-            faults::faults_table(&points).print();
-            let path = format!("{dir}/BENCH_faults.json");
-            std::fs::write(&path, faults::faults_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_serve {
-            let points = if smoke {
-                serve::serve_smoke()
-            } else {
-                serve::serve_default()
-            };
-            serve::serve_table(&points).print();
-            let path = format!("{dir}/BENCH_serve.json");
-            std::fs::write(&path, serve::serve_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_policies {
-            let points = if smoke {
-                online_budget::policies_smoke()
-            } else {
-                online_budget::policies_default()
-            };
-            online_budget::policies_table(&points).print();
-            let path = format!("{dir}/BENCH_policies.json");
-            std::fs::write(&path, online_budget::policies_bench_json(&points))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_fleet {
-            let points = if smoke {
-                fleet::fleet_smoke()
-            } else {
-                fleet::fleet_default()
-            };
-            let equivalence = fleet::single_host_equivalence();
-            fleet::fleet_table(&points).print();
-            let path = format!("{dir}/BENCH_fleet.json");
-            std::fs::write(&path, fleet::fleet_bench_json(&points, equivalence))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_fleet_par {
-            let (points, seed) = if smoke {
-                (fleet_par::fleet_par_smoke(), 11)
-            } else {
-                (fleet_par::fleet_par_default(), 11)
-            };
-            fleet_par::fleet_par_table(&points).print();
-            let path = format!("{dir}/BENCH_fleet_par.json");
-            std::fs::write(&path, fleet_par::fleet_par_bench_json(&points, seed))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
+        for record in records {
+            (record.run)(Tier::Quick).0.print();
+            println!();
         }
         return;
     }
-    for table in scaling::run() {
+    for record in records {
+        let (table, file) = (record.run)(args.tier);
         table.print();
-        println!();
-    }
-    if run_yds {
-        let points = scaling::yds_scaling(&[64, 128, 256, 512, 1024], 512);
-        scaling::yds_table(&points).print();
-        println!();
-    }
-    if run_flow {
-        let points = scaling::flow_scaling(&[64, 256, 1024], 40, 256);
-        scaling::flow_table(&points).print();
-        println!();
-    }
-    if run_multi {
-        let points = scaling::multi_scaling_smoke();
-        scaling::multi_table(&points).print();
-        println!();
-    }
-    if run_oa {
-        let points = scaling::oa_scaling(&[256, 1_024, 4_096], 4_096);
-        scaling::oa_table(&points).print();
-        println!();
-    }
-    if run_faults {
-        let points = faults::faults_smoke();
-        faults::faults_table(&points).print();
-        println!();
-    }
-    if run_fleet {
-        let points = fleet::fleet_smoke();
-        fleet::fleet_table(&points).print();
-        println!();
-    }
-    if run_fleet_par {
-        let points = fleet_par::fleet_par_smoke();
-        fleet_par::fleet_par_table(&points).print();
-        println!();
-    }
-    if run_serve {
-        let points = serve::serve_smoke();
-        serve::serve_table(&points).print();
-        println!();
-    }
-    if run_policies {
-        let points = online_budget::policies_smoke();
-        online_budget::policies_table(&points).print();
+        let path = args.dir.join(record.file);
+        let tmp = path.with_extension("json.tmp");
+        let checked = std::fs::create_dir_all(&args.dir)
+            .and_then(|()| std::fs::write(&tmp, file.render()))
+            .map_err(|e| format!("write: {e}"))
+            .and_then(|()| bench_file::read(&tmp))
+            .and_then(|doc| (record.gate)(&doc, &args.dir))
+            .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| format!("rename: {e}")));
+        if let Err(e) = checked {
+            eprintln!("{}: {e}", tmp.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {} (gate holds)", path.display());
     }
 }

@@ -13,7 +13,8 @@
 //! recover with), and recovery latency tracks crash duration plus the
 //! re-planning delay of the first post-recovery decision.
 
-use crate::harness::{fmt, CsvTable};
+use crate::bench_file::{f6, BenchFile, Val};
+use crate::harness::{fmt, CsvTable, Tier};
 use pas_core::online::{AdaptiveRate, FractionalSpend, SpendAll};
 use pas_power::PolyPower;
 use pas_sim::online::OnlinePolicy;
@@ -184,16 +185,6 @@ pub fn fault_resilience(n: usize, rates: &[f64], seeds: u64) -> Vec<FaultPoint> 
     points
 }
 
-/// The acceptance-tier sweep.
-pub fn faults_default() -> Vec<FaultPoint> {
-    fault_resilience(60, &[0.02, 0.05, 0.1, 0.2, 0.4], 5)
-}
-
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn faults_smoke() -> Vec<FaultPoint> {
-    fault_resilience(12, &[0.05, 0.2], 2)
-}
-
 /// Render points as the `fault_resilience` CSV table.
 pub fn faults_table(points: &[FaultPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -240,46 +231,48 @@ pub fn faults_table(points: &[FaultPoint]) -> CsvTable {
     table
 }
 
-/// Render points as the `BENCH_faults.json` document — the resilience
+/// Render points as the `BENCH_faults.json` record — the resilience
 /// path's trajectory record, sibling to the other `BENCH_*` files.
-pub fn faults_bench_json(points: &[FaultPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fault_resilience\",\n");
-    out.push_str(
-        "  \"fault_model\": \"uniform_mix(rate): crash/cancel/throttle/burst at rate/4 each, seeded Poisson arrivals\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"faulted-over-baseline overheads plus ResilienceReport counters\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"policy\": \"{}\", \"rate\": {}, \"seed\": {}, \"energy_overhead\": {:.6}, \"flow_overhead\": {:.6}, \"makespan_stretch\": {:.6}, \"crashes\": {}, \"downtime\": {:.6}, \"lost_work\": {:.6}, \"wasted_energy\": {:.6}, \"cancelled_jobs\": {}, \"burst_jobs\": {}, \"throttle_clamps\": {}, \"max_recovery_latency\": {:.6}, \"deadline_misses\": {}}}{}\n",
-            p.workload,
-            p.policy,
-            p.rate,
-            p.seed,
-            p.energy_overhead(),
-            p.flow_overhead(),
-            p.makespan_stretch(),
-            p.crashes,
-            p.downtime,
-            p.lost_work,
-            p.wasted_energy,
-            p.cancelled_jobs,
-            p.burst_jobs,
-            p.throttle_clamps,
-            p.max_recovery_latency,
-            p.deadline_misses,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn faults_record(points: &[FaultPoint]) -> BenchFile {
+    BenchFile::new("fault_resilience")
+        .header(
+            "fault_model",
+            "uniform_mix(rate): crash/cancel/throttle/burst at rate/4 each, seeded Poisson arrivals",
+        )
+        .header(
+            "metric",
+            "faulted-over-baseline overheads plus ResilienceReport counters",
+        )
+        .points(points.iter().map(|p| {
+            vec![
+                ("workload", p.workload.into()),
+                ("policy", p.policy.as_str().into()),
+                ("rate", Val::Plain(p.rate)),
+                ("seed", p.seed.into()),
+                ("energy_overhead", f6(p.energy_overhead())),
+                ("flow_overhead", f6(p.flow_overhead())),
+                ("makespan_stretch", f6(p.makespan_stretch())),
+                ("crashes", p.crashes.into()),
+                ("downtime", f6(p.downtime)),
+                ("lost_work", f6(p.lost_work)),
+                ("wasted_energy", f6(p.wasted_energy)),
+                ("cancelled_jobs", p.cancelled_jobs.into()),
+                ("burst_jobs", p.burst_jobs.into()),
+                ("throttle_clamps", p.throttle_clamps.into()),
+                ("max_recovery_latency", f6(p.max_recovery_latency)),
+                ("deadline_misses", p.deadline_misses.into()),
+            ]
+        }))
 }
 
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run() -> Vec<CsvTable> {
-    vec![faults_table(&faults_smoke())]
+/// E23 at a tier: the `fault_resilience` table and the
+/// `BENCH_faults.json` record.
+pub fn faults_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick | Tier::Smoke => fault_resilience(12, &[0.05, 0.2], 2),
+        Tier::Full => fault_resilience(60, &[0.02, 0.05, 0.1, 0.2, 0.4], 5),
+    };
+    (faults_table(&points), faults_record(&points))
 }
 
 #[cfg(test)]
@@ -317,7 +310,7 @@ mod tests {
         let points = fault_resilience(8, &[0.2], 1);
         let table = faults_table(&points);
         assert_eq!(table.rows.len(), points.len());
-        let json = faults_bench_json(&points);
+        let json = faults_record(&points).render();
         assert_eq!(
             json.matches("\"workload\"").count(),
             points.len(),

@@ -19,7 +19,8 @@
 
 use std::time::Instant;
 
-use crate::harness::{fmt, CsvTable};
+use crate::bench_file::{f3, f6, BenchFile};
+use crate::harness::{fmt, CsvTable, Tier};
 use pas_fleet::{run, DispatchPolicy, EnginePower, FleetScenario, HostConfig, HostPolicy};
 use pas_power::{DiscreteSpeeds, HostPower, PolyPower, SleepConfig};
 use pas_sim::journal::outcome_digest;
@@ -194,16 +195,6 @@ pub fn single_host_equivalence() -> bool {
     }
 }
 
-/// The acceptance-tier sweep: host-count scaling through 1000+ hosts.
-pub fn fleet_default() -> Vec<FleetScalingPoint> {
-    fleet_scaling(&[10, 100, 400, 1000], 20, 11)
-}
-
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn fleet_smoke() -> Vec<FleetScalingPoint> {
-    fleet_scaling(&[4, 16], 8, 11)
-}
-
 /// Render points as the `fleet_scaling` CSV table.
 pub fn fleet_table(points: &[FleetScalingPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -252,51 +243,53 @@ pub fn fleet_table(points: &[FleetScalingPoint]) -> CsvTable {
     table
 }
 
-/// Render points as the `BENCH_fleet.json` document. `equivalence` is
+/// Render points as the `BENCH_fleet.json` record. `equivalence` is
 /// the result of [`single_host_equivalence`], embedded so the perf
 /// record certifies the fleet layer is still semantically transparent.
-pub fn fleet_bench_json(points: &[FleetScalingPoint], equivalence: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fleet_scaling\",\n");
-    out.push_str(
-        "  \"fleet\": \"4 cycling host archetypes (cubic, ladder+qOA, idle+sleep+BKP, capped ladder) on heavy-tailed Poisson traffic\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"wall time + fleet-level energy/flow/shed/sleep per host count and dispatch policy\",\n",
-    );
-    out.push_str(&format!(
-        "  \"single_host_equivalence\": {equivalence},\n  \"points\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"hosts\": {}, \"jobs\": {}, \"dispatch\": \"{}\", \"seed\": {}, \"wall_ms\": {:.3}, \"dispatch_ms\": {:.3}, \"partition_ms\": {:.3}, \"execute_ms\": {:.3}, \"reduce_ms\": {:.3}, \"dynamic_energy\": {:.6}, \"static_energy\": {:.6}, \"total_flow\": {:.6}, \"makespan\": {:.6}, \"completed_jobs\": {}, \"shed_jobs\": {}, \"sleep_transitions\": {}, \"digest\": \"{:016x}\"}}{}\n",
-            p.hosts,
-            p.jobs,
-            p.dispatch,
-            p.seed,
-            p.wall_ms,
-            p.dispatch_ms,
-            p.partition_ms,
-            p.execute_ms,
-            p.reduce_ms,
-            p.dynamic_energy,
-            p.static_energy,
-            p.total_flow,
-            p.makespan,
-            p.completed_jobs,
-            p.shed_jobs,
-            p.sleep_transitions,
-            p.digest,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn fleet_record(points: &[FleetScalingPoint], equivalence: bool) -> BenchFile {
+    BenchFile::new("fleet_scaling")
+        .header(
+            "fleet",
+            "4 cycling host archetypes (cubic, ladder+qOA, idle+sleep+BKP, capped ladder) on heavy-tailed Poisson traffic",
+        )
+        .header(
+            "metric",
+            "wall time + fleet-level energy/flow/shed/sleep per host count and dispatch policy",
+        )
+        .header("single_host_equivalence", equivalence)
+        .points(points.iter().map(|p| {
+            vec![
+                ("hosts", p.hosts.into()),
+                ("jobs", p.jobs.into()),
+                ("dispatch", p.dispatch.into()),
+                ("seed", p.seed.into()),
+                ("wall_ms", f3(p.wall_ms)),
+                ("dispatch_ms", f3(p.dispatch_ms)),
+                ("partition_ms", f3(p.partition_ms)),
+                ("execute_ms", f3(p.execute_ms)),
+                ("reduce_ms", f3(p.reduce_ms)),
+                ("dynamic_energy", f6(p.dynamic_energy)),
+                ("static_energy", f6(p.static_energy)),
+                ("total_flow", f6(p.total_flow)),
+                ("makespan", f6(p.makespan)),
+                ("completed_jobs", p.completed_jobs.into()),
+                ("shed_jobs", p.shed_jobs.into()),
+                ("sleep_transitions", p.sleep_transitions.into()),
+                ("digest", format!("{:016x}", p.digest).into()),
+            ]
+        }))
 }
 
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run_experiment() -> Vec<CsvTable> {
-    vec![fleet_table(&fleet_smoke())]
+/// E25 at a tier: the `fleet_scaling` table and the `BENCH_fleet.json`
+/// record, with [`single_host_equivalence`] embedded. The full tier
+/// scales through 1000 hosts.
+pub fn fleet_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick | Tier::Smoke => fleet_scaling(&[4, 16], 8, 11),
+        Tier::Full => fleet_scaling(&[10, 100, 400, 1000], 20, 11),
+    };
+    let record = fleet_record(&points, single_host_equivalence());
+    (fleet_table(&points), record)
 }
 
 #[cfg(test)]
@@ -334,7 +327,7 @@ mod tests {
     #[test]
     fn json_embeds_the_gate_and_one_object_per_point() {
         let points = fleet_scaling(&[2], 3, 1);
-        let json = fleet_bench_json(&points, true);
+        let json = fleet_record(&points, true).render();
         assert!(json.contains("\"single_host_equivalence\": true"));
         assert_eq!(json.matches("\"hosts\"").count(), points.len());
         assert!(json.ends_with("  ]\n}\n"));

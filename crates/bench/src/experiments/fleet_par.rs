@@ -16,11 +16,12 @@
 //!   the byte-identical fleet digest. Because the scenario is built
 //!   with the exact E25 generators (same workload, horizon, archetypes,
 //!   seed, dispatch), the digest also cross-checks against the matching
-//!   `BENCH_fleet.json` point; CI asserts both.
+//!   `BENCH_fleet.json` point; the record's gate checks both.
 
 use std::time::Instant;
 
-use crate::harness::{fmt, CsvTable};
+use crate::bench_file::{f3, BenchFile};
+use crate::harness::{fmt, CsvTable, Tier};
 use pas_fleet::{run_with, FleetScenario};
 
 use super::fleet::{archetype, fleet_workload};
@@ -34,6 +35,8 @@ pub struct FleetParPoint {
     pub hosts: usize,
     /// Total jobs dispatched.
     pub jobs: usize,
+    /// Seed of the scenario (workload, faults, dispatch).
+    pub seed: u64,
     /// Wall time of the full run.
     pub wall_ms: f64,
     /// Phase 1 (event calendar + routing) wall time.
@@ -73,6 +76,7 @@ pub fn fleet_par_sweep(
                 workers: w,
                 hosts,
                 jobs: scenario.workload.len(),
+                seed,
                 wall_ms,
                 dispatch_ms: out.timings.dispatch_ms,
                 partition_ms: out.timings.partition_ms,
@@ -82,18 +86,6 @@ pub fn fleet_par_sweep(
             }
         })
         .collect()
-}
-
-/// The acceptance-tier curve: the 1000-host / 20000-job E25 point under
-/// 1, 2, 4, and 8 workers.
-pub fn fleet_par_default() -> Vec<FleetParPoint> {
-    fleet_par_sweep(1000, 20, 11, &[1, 2, 4, 8])
-}
-
-/// The smoke-tier curve: seconds-scale, exercised in CI. Matches the
-/// E25 smoke point `{hosts: 16, dispatch: round_robin}` digest.
-pub fn fleet_par_smoke() -> Vec<FleetParPoint> {
-    fleet_par_sweep(16, 8, 11, &[1, 2, 3])
 }
 
 /// True when every point on the curve carries the same digest.
@@ -149,51 +141,48 @@ pub fn fleet_par_table(points: &[FleetParPoint]) -> CsvTable {
     table
 }
 
-/// Render points as the `BENCH_fleet_par.json` document.
-pub fn fleet_par_bench_json(points: &[FleetParPoint], seed: u64) -> String {
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fleet_par\",\n");
-    out.push_str(
-        "  \"metric\": \"wall time of one fixed fleet scenario (E25 round-robin config) per worker count; digests must be invariant\",\n",
+/// Render points as the `BENCH_fleet_par.json` record; `parallelism`
+/// is the core count the curve was measured on.
+pub fn fleet_par_record(points: &[FleetParPoint], parallelism: usize) -> BenchFile {
+    let mut file = BenchFile::new("fleet_par").header(
+        "metric",
+        "wall time of one fixed fleet scenario (E25 round-robin config) per worker count; digests must be invariant",
     );
     if let Some(p) = points.first() {
-        out.push_str(&format!(
-            "  \"hosts\": {}, \"jobs\": {}, \"seed\": {}, \"dispatch\": \"round_robin\",\n",
-            p.hosts, p.jobs, seed
-        ));
+        file = file
+            .header("hosts", p.hosts)
+            .header("jobs", p.jobs)
+            .header("seed", p.seed)
+            .header("dispatch", "round_robin");
     }
-    out.push_str(&format!("  \"parallelism\": {parallelism},\n"));
-    out.push_str(&format!(
-        "  \"digest_invariant\": {},\n",
-        digest_invariant(points)
-    ));
-    out.push_str(&format!(
-        "  \"speedup_vs_1thread\": {:.3},\n  \"points\": [\n",
-        speedup_vs_1thread(points)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"dispatch_ms\": {:.3}, \"partition_ms\": {:.3}, \"execute_ms\": {:.3}, \"reduce_ms\": {:.3}, \"digest\": \"{:016x}\"}}{}\n",
-            p.workers,
-            p.wall_ms,
-            p.dispatch_ms,
-            p.partition_ms,
-            p.execute_ms,
-            p.reduce_ms,
-            p.digest,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    file.header("parallelism", parallelism)
+        .header("digest_invariant", digest_invariant(points))
+        .header("speedup_vs_1thread", f3(speedup_vs_1thread(points)))
+        .points(points.iter().map(|p| {
+            vec![
+                ("workers", p.workers.into()),
+                ("wall_ms", f3(p.wall_ms)),
+                ("dispatch_ms", f3(p.dispatch_ms)),
+                ("partition_ms", f3(p.partition_ms)),
+                ("execute_ms", f3(p.execute_ms)),
+                ("reduce_ms", f3(p.reduce_ms)),
+                ("digest", format!("{:016x}", p.digest).into()),
+            ]
+        }))
 }
 
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run_experiment() -> Vec<CsvTable> {
-    vec![fleet_par_table(&fleet_par_smoke())]
+/// E26 at a tier: the `fleet_par` table and the
+/// `BENCH_fleet_par.json` record. Each tier's scenario is an E25 point
+/// of the same tier (`{hosts: 16}` smoke, `{hosts: 1000}` full,
+/// round-robin), so the digests cross-check.
+pub fn fleet_par_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick | Tier::Smoke => fleet_par_sweep(16, 8, 11, &[1, 2, 3]),
+        Tier::Full => fleet_par_sweep(1000, 20, 11, &[1, 2, 4, 8]),
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let record = fleet_par_record(&points, parallelism);
+    (fleet_par_table(&points), record)
 }
 
 #[cfg(test)]
@@ -219,7 +208,7 @@ mod tests {
     #[test]
     fn json_records_the_gates() {
         let points = fleet_par_sweep(3, 2, 1, &[1, 2]);
-        let json = fleet_par_bench_json(&points, 1);
+        let json = fleet_par_record(&points, 1).render();
         assert!(json.contains("\"digest_invariant\": true"));
         assert!(json.contains("\"speedup_vs_1thread\""));
         assert!(json.contains("\"parallelism\""));

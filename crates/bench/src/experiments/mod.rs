@@ -36,26 +36,29 @@ pub mod scaling;
 pub mod serve;
 pub mod temperature;
 
-use crate::harness::CsvTable;
+use crate::harness::{CsvTable, Tier};
 
-/// Run every experiment (used by `exp-all`).
-pub fn run_all() -> Vec<CsvTable> {
-    let mut tables = Vec::new();
-    tables.extend(figures::run());
-    tables.extend(scaling::run());
-    tables.extend(hardness::run());
-    tables.extend(flowcurve::run());
-    tables.extend(multiproc::run());
-    tables.extend(partition::run());
-    tables.extend(deadline_ratios::run());
-    tables.extend(online_budget::run());
-    tables.extend(discrete_levels::run());
-    tables.extend(precedence_dag::run());
-    tables.extend(temperature::run());
-    tables.extend(bounded_speed::run());
-    tables.extend(faults::run());
-    tables.extend(serve::run());
-    tables.extend(fleet::run_experiment());
-    tables.extend(fleet_par::run_experiment());
-    tables
-}
+/// One experiment: every table it produces.
+pub type Experiment = fn() -> Vec<CsvTable>;
+
+/// Every experiment by its `exp-all --only` name, in `exp-all` order.
+pub const EXPERIMENTS: [(&str, Experiment); 16] = [
+    ("figures", figures::run),
+    ("scaling", scaling::run),
+    ("hardness", hardness::run),
+    ("flowcurve", flowcurve::run),
+    ("multiproc", multiproc::run),
+    ("partition", partition::run),
+    ("deadline-ratios", deadline_ratios::run),
+    ("online-budget", online_budget::run),
+    ("discrete-levels", discrete_levels::run),
+    ("precedence-dag", precedence_dag::run),
+    ("temperature", temperature::run),
+    ("bounded-speed", bounded_speed::run),
+    ("faults", || vec![faults::faults_bench(Tier::Smoke).0]),
+    ("serve", || vec![serve::serve_bench(Tier::Smoke).0]),
+    ("fleet", || vec![fleet::fleet_bench(Tier::Smoke).0]),
+    ("fleet-par", || {
+        vec![fleet_par::fleet_par_bench(Tier::Smoke).0]
+    }),
+];

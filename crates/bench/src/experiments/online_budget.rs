@@ -8,7 +8,8 @@
 //! tension §6 describes); the clairvoyant constant-speed baseline is
 //! near 1 on dense inputs but pays for idle gaps.
 
-use crate::harness::{fmt, time_min, CsvTable};
+use crate::bench_file::{f6, BenchFile};
+use crate::harness::{fmt, time_min, CsvTable, Tier};
 use pas_core::online::{
     compare_online, AdaptiveRate, Bkp, ConstantSpeed, FractionalSpend, Qoa, SpendAll,
 };
@@ -198,16 +199,6 @@ pub fn policies_ladder(sizes: &[usize]) -> Vec<PolicyPoint> {
     points
 }
 
-/// The acceptance ladder: n doubling from 2500 to 20000.
-pub fn policies_default() -> Vec<PolicyPoint> {
-    policies_ladder(&[2_500, 5_000, 10_000, 20_000])
-}
-
-/// The seconds-scale smoke ladder exercised in CI.
-pub fn policies_smoke() -> Vec<PolicyPoint> {
-    policies_ladder(&[500, 2_000])
-}
-
 /// Render ladder points as the `online_policy_ladder` CSV table.
 pub fn policies_table(points: &[PolicyPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -226,45 +217,40 @@ pub fn policies_table(points: &[PolicyPoint]) -> CsvTable {
     table
 }
 
-/// Serialize ladder points as `BENCH_policies.json`, including the
-/// flat/growing classification CI asserts on.
-pub fn policies_bench_json(points: &[PolicyPoint]) -> String {
-    let quote_list = |names: &[String]| {
-        names
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
+/// Render ladder points as the `BENCH_policies.json` record, including
+/// the flat/growing classification its gate asserts on.
+pub fn policies_record(points: &[PolicyPoint]) -> BenchFile {
+    BenchFile::new("online_policy_ladder")
+        .header(
+            "setup",
+            "E13 extension: Poisson stream (rate 0.8, seed 7), budget 1.5x total work, PolyPower CUBE; each policy vs the offline frontier across an n-doubling ladder",
+        )
+        .header(
+            "metric",
+            "empirical competitive ratio (policy makespan / offline frontier makespan) per policy per n",
+        )
+        .header("flat_policies", flat_policies(points))
+        .header("growing_policies", growing_policies(points))
+        .points(points.iter().map(|p| {
+            vec![
+                ("policy", p.policy.as_str().into()),
+                ("n", p.n.into()),
+                ("ratio", f6(p.ratio)),
+                ("within_budget", p.within_budget.into()),
+                ("seconds", f6(p.seconds)),
+            ]
+        }))
+}
+
+/// The E13 ladder at a tier: the `online_policy_ladder` table and the
+/// `BENCH_policies.json` record. The full ladder doubles n from 2500
+/// to 20000.
+pub fn policies_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick | Tier::Smoke => policies_ladder(&[500, 2_000]),
+        Tier::Full => policies_ladder(&[2_500, 5_000, 10_000, 20_000]),
     };
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"online_policy_ladder\",\n");
-    out.push_str(
-        "  \"setup\": \"E13 extension: Poisson stream (rate 0.8, seed 7), budget 1.5x total work, PolyPower CUBE; each policy vs the offline frontier across an n-doubling ladder\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"empirical competitive ratio (policy makespan / offline frontier makespan) per policy per n\",\n",
-    );
-    out.push_str(&format!(
-        "  \"flat_policies\": [{}],\n",
-        quote_list(&flat_policies(points))
-    ));
-    out.push_str(&format!(
-        "  \"growing_policies\": [{}],\n  \"points\": [\n",
-        quote_list(&growing_policies(points))
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"n\": {}, \"ratio\": {:.6}, \"within_budget\": {}, \"seconds\": {:.6}}}{}\n",
-            p.policy,
-            p.n,
-            p.ratio,
-            p.within_budget,
-            p.seconds,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    (policies_table(&points), policies_record(&points))
 }
 
 #[cfg(test)]
@@ -309,7 +295,7 @@ mod tests {
             assert!(!growing.contains(name), "{name} classified both ways");
         }
         // The JSON carries the classification verbatim.
-        let json = super::policies_bench_json(&points);
+        let json = super::policies_record(&points).render();
         assert!(json.contains("\"flat_policies\""));
         assert!(json.contains("\"online_policy_ladder\""));
     }

@@ -37,7 +37,8 @@
 //! tight bands: near-tie certificates, the tournament's adversarial
 //! case) — with per-point energy agreement recorded like E19/E20.
 
-use crate::harness::{fmt, time_min, CsvTable};
+use crate::bench_file::{e3, f2, f6, BenchFile};
+use crate::harness::{fmt, time_min, CsvTable, Tier};
 use pas_core::deadline::{oa, oa_reference, yds, yds_reference, DeadlineInstance, DeadlineJob};
 use pas_core::flow::curve::tradeoff_curve;
 use pas_core::flow::solver::{laptop_reference, solve_for_u, solve_for_u_reference};
@@ -167,13 +168,6 @@ pub fn yds_scaling(sizes: &[usize], reference_cap: usize) -> Vec<YdsScalingPoint
         .collect()
 }
 
-/// The default E19 sweep (reference measured at every point, n=2000
-/// included — the acceptance configuration; expect minutes of wall
-/// clock).
-pub fn yds_scaling_default() -> Vec<YdsScalingPoint> {
-    yds_scaling(&[64, 128, 256, 512, 1024, 2000], 2000)
-}
-
 /// Render E19 points as the `scaling_yds` CSV table.
 pub fn yds_table(points: &[YdsScalingPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -202,38 +196,37 @@ pub fn yds_table(points: &[YdsScalingPoint]) -> CsvTable {
     table
 }
 
-/// Render E19 points as the `BENCH_yds.json` document: a scaling curve
+/// Render E19 points as the `BENCH_yds.json` record: a scaling curve
 /// plus the headline n=2000 speedup, consumed by future PRs as the perf
 /// trajectory baseline.
-pub fn yds_bench_json(points: &[YdsScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"yds_timeline_engine\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E19_FAMILY}\",\n"));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"optimized_s\": {:.6}, \"optimized_repeats\": {}, \"reference_s\": {}, \"reference_repeats\": {}, \"speedup\": {}, \"rounds\": {}, \"energy_rel_gap\": {}}}{}\n",
-            p.n,
-            p.optimized_s,
-            p.optimized_repeats,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_repeats
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.rounds,
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn yds_record(points: &[YdsScalingPoint]) -> BenchFile {
+    BenchFile::new("yds_timeline_engine")
+        .header("instance_family", E19_FAMILY)
+        .header("metric", "wall_seconds_min_over_repeats")
+        .points(points.iter().map(|p| {
+            vec![
+                ("n", p.n.into()),
+                ("optimized_s", f6(p.optimized_s)),
+                ("optimized_repeats", p.optimized_repeats.into()),
+                ("reference_s", p.reference_s.map(f6).into()),
+                ("reference_repeats", p.reference_repeats.into()),
+                ("speedup", p.speedup().map(f2).into()),
+                ("rounds", p.rounds.into()),
+                ("energy_rel_gap", p.energy_rel_gap.map(e3).into()),
+            ]
+        }))
+}
+
+/// E19 at a tier: the `scaling_yds` table and the `BENCH_yds.json`
+/// record. The full tier measures the reference at every point, n=2000
+/// included (expect minutes).
+pub fn yds_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick => yds_scaling(&[64, 128, 256, 512, 1024], E19_REFERENCE_CAP),
+        Tier::Smoke => yds_scaling(&[64, 128], 128),
+        Tier::Full => yds_scaling(&[64, 128, 256, 512, 1024, 2000], 2000),
+    };
+    (yds_table(&points), yds_record(&points))
 }
 
 /// One measured point of the E20 flow naive-vs-block sweep.
@@ -303,11 +296,6 @@ pub fn e20_instance(n: usize) -> Instance {
 
 /// `e20_instance` as a string, recorded in `BENCH_flow.json`.
 pub const E20_FAMILY: &str = "generators::equal_work_poisson(n, 1.5, 1.0, 42)";
-
-/// Default reference cap: past this the fixed-point engine's curve sweep
-/// takes tens of minutes (each cold laptop is ~50 bisection steps of an
-/// `O(iters·n)` iteration).
-pub const E20_REFERENCE_CAP: usize = 1_000;
 
 /// The sweep's energy grid: `curve_points` energies spanning 0.5×W to
 /// 4×W on the instance (W = total work).
@@ -411,19 +399,6 @@ pub fn flow_scaling(
         .collect()
 }
 
-/// The full E20 acceptance sweep: n through 10⁴, 120-point curves, the
-/// reference measured through n = 1000 (expect ~20 minutes — the
-/// reference curve alone is ~120 cold bisection solves of an
-/// `O(iters·n)` engine; that cost is the point).
-pub fn flow_scaling_default() -> Vec<FlowScalingPoint> {
-    flow_scaling(&[100, 300, 1_000, 3_000, 10_000], 120, E20_REFERENCE_CAP)
-}
-
-/// The smoke-tier E20 sweep: seconds, not minutes; exercised in CI.
-pub fn flow_scaling_smoke() -> Vec<FlowScalingPoint> {
-    flow_scaling(&[64, 256], 24, 256)
-}
-
 /// Render E20 points as the `scaling_flow` CSV table.
 pub fn flow_table(points: &[FlowScalingPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -470,64 +445,53 @@ pub fn flow_table(points: &[FlowScalingPoint]) -> CsvTable {
     table
 }
 
-/// Render E20 points as the `BENCH_flow.json` document — the flow path's
+/// Render E20 points as the `BENCH_flow.json` record — the flow path's
 /// perf-trajectory record, sibling to `BENCH_yds.json`.
-pub fn flow_bench_json(points: &[FlowScalingPoint]) -> String {
-    let opt = |v: Option<f64>| {
-        v.map(|x| format!("{x:.6}"))
-            .unwrap_or_else(|| "null".to_string())
+pub fn flow_record(points: &[FlowScalingPoint]) -> BenchFile {
+    BenchFile::new("flow_block_decomposition")
+        .header("instance_family", E20_FAMILY)
+        .header("metric", "wall_seconds_min_over_repeats")
+        .points(points.iter().map(|p| {
+            let gaps = p
+                .curve_energy_rel_gaps
+                .as_ref()
+                .map(|g| g.iter().map(|x| x.map(e3)).collect::<Vec<_>>());
+            vec![
+                ("n", p.n.into()),
+                ("solve_block_s", f6(p.solve_block_s)),
+                ("solve_reference_s", p.solve_reference_s.map(f6).into()),
+                ("solve_speedup", p.solve_speedup().map(f2).into()),
+                (
+                    "solve_energy_rel_gap",
+                    p.solve_energy_rel_gap.map(e3).into(),
+                ),
+                ("curve_points", p.curve_points.into()),
+                ("curve_block_s", f6(p.curve_block_s)),
+                ("curve_reference_s", p.curve_reference_s.map(f6).into()),
+                ("curve_reference_ok", p.curve_reference_ok.into()),
+                ("curve_reference_failed", p.curve_reference_failed.into()),
+                ("curve_speedup", p.curve_speedup().map(f2).into()),
+                (
+                    "curve_max_energy_rel_gap",
+                    p.curve_max_energy_rel_gap().map(e3).into(),
+                ),
+                ("curve_energy_rel_gaps", gaps.into()),
+            ]
+        }))
+}
+
+/// E20 at a tier: the `scaling_flow` table and the `BENCH_flow.json`
+/// record. The full tier runs n through 10⁴ with 120-point curves and
+/// the reference through n = 1000 (expect ~20 minutes — the reference
+/// curve alone is ~120 cold bisection solves of an `O(iters·n)` engine;
+/// that cost is the point).
+pub fn flow_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick => flow_scaling(&[64, 256, 1024], 40, 256),
+        Tier::Smoke => flow_scaling(&[64, 256], 24, 256),
+        Tier::Full => flow_scaling(&[100, 300, 1_000, 3_000, 10_000], 120, 1_000),
     };
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"flow_block_decomposition\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E20_FAMILY}\",\n"));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let gaps = p
-            .curve_energy_rel_gaps
-            .as_ref()
-            .map(|g| {
-                let inner: Vec<String> = g
-                    .iter()
-                    .map(|x| {
-                        x.map(|x| format!("{x:.3e}"))
-                            .unwrap_or_else(|| "null".to_string())
-                    })
-                    .collect();
-                format!("[{}]", inner.join(", "))
-            })
-            .unwrap_or_else(|| "null".to_string());
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"solve_block_s\": {:.6}, \"solve_reference_s\": {}, \"solve_speedup\": {}, \"solve_energy_rel_gap\": {}, \"curve_points\": {}, \"curve_block_s\": {:.6}, \"curve_reference_s\": {}, \"curve_reference_ok\": {}, \"curve_reference_failed\": {}, \"curve_speedup\": {}, \"curve_max_energy_rel_gap\": {}, \"curve_energy_rel_gaps\": {}}}{}\n",
-            p.n,
-            p.solve_block_s,
-            opt(p.solve_reference_s),
-            p.solve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.solve_energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_points,
-            p.curve_block_s,
-            opt(p.curve_reference_s),
-            p.curve_reference_ok
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_reference_failed
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_max_energy_rel_gap()
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            gaps,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    (flow_table(&points), flow_record(&points))
 }
 
 /// One configured instance of the E21 multiprocessor-partition sweep:
@@ -703,97 +667,6 @@ pub fn multi_scaling(specs: &[MultiPointSpec]) -> Vec<MultiScalingPoint> {
     points
 }
 
-/// The default E21 acceptance sweep: the m = 4 points complete on both
-/// engines (probed: milliseconds-to-seconds for the reference); the
-/// m = 8 points at n = 24/30 carry 10–15-minute censor budgets the
-/// seed engine was probed to exceed — the incremental engine solves
-/// those witnesses in well under a second, so even the censored floors
-/// record 3–4 orders of magnitude of speedup; the n = 34/40 reach
-/// points do not attempt the reference at all.
-pub fn multi_scaling_default() -> Vec<MultiScalingPoint> {
-    multi_scaling(&[
-        MultiPointSpec {
-            n: 16,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 20,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 900.0,
-        },
-        MultiPointSpec {
-            n: 24,
-            m: 8,
-            levels: 12,
-            seed: 4,
-            reference_budget_s: 900.0,
-        },
-        MultiPointSpec {
-            n: 30,
-            m: 8,
-            levels: 4,
-            seed: 10,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 30,
-            m: 8,
-            levels: 4,
-            seed: 12,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 34,
-            m: 8,
-            levels: 12,
-            seed: 5,
-            reference_budget_s: 0.0,
-        },
-        MultiPointSpec {
-            n: 40,
-            m: 8,
-            levels: 12,
-            seed: 2,
-            reference_budget_s: 0.0,
-        },
-    ])
-}
-
-/// The smoke-tier E21 sweep: seconds, not minutes; exercised in CI.
-/// The reference budgets are generous relative to the expected
-/// completion times, so censoring only triggers on pathological
-/// machines (and is recorded as such rather than failing).
-pub fn multi_scaling_smoke() -> Vec<MultiScalingPoint> {
-    multi_scaling(&[
-        MultiPointSpec {
-            n: 12,
-            m: 4,
-            levels: 8,
-            seed: 1,
-            reference_budget_s: 60.0,
-        },
-        MultiPointSpec {
-            n: 16,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 60.0,
-        },
-        MultiPointSpec {
-            n: 20,
-            m: 8,
-            levels: 4,
-            seed: 8,
-            reference_budget_s: 0.0,
-        },
-    ])
-}
-
 /// Render E21 points as the `scaling_multi` CSV table.
 pub fn multi_table(points: &[MultiScalingPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -840,42 +713,78 @@ pub fn multi_table(points: &[MultiScalingPoint]) -> CsvTable {
     table
 }
 
-/// Render E21 points as the `BENCH_multi.json` document — the
+/// Render E21 points as the `BENCH_multi.json` record — the
 /// multiprocessor path's perf-trajectory record, sibling to
 /// `BENCH_yds.json` and `BENCH_flow.json`.
-pub fn multi_bench_json(points: &[MultiScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"multi_incremental_bb\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E21_FAMILY}\",\n"));
-    out.push_str(
-        "  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"censoring\": \"reference_censored=true means the seed engine was abandoned at its wall-clock budget; reference_s is then a floor and speedup a lower bound\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"m\": {}, \"levels\": {}, \"seed\": {}, \"incremental_s\": {:.6}, \"incremental_repeats\": {}, \"parallel_s\": {:.6}, \"reference_s\": {}, \"reference_censored\": {}, \"speedup\": {}, \"norm_rel_gap\": {}, \"parallel_rel_gap\": {:.3e}}}{}\n",
-            p.spec.n,
-            p.spec.m,
-            p.spec.levels,
-            p.spec.seed,
-            p.incremental_s,
-            p.incremental_repeats,
-            p.parallel_s,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_censored,
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.norm_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.parallel_rel_gap,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn multi_record(points: &[MultiScalingPoint]) -> BenchFile {
+    BenchFile::new("multi_incremental_bb")
+        .header("instance_family", E21_FAMILY)
+        .header("metric", "wall_seconds_min_over_repeats")
+        .header(
+            "censoring",
+            "reference_censored=true means the seed engine was abandoned at its wall-clock budget; reference_s is then a floor and speedup a lower bound",
+        )
+        .points(points.iter().map(|p| {
+            vec![
+                ("n", p.spec.n.into()),
+                ("m", p.spec.m.into()),
+                ("levels", p.spec.levels.into()),
+                ("seed", p.spec.seed.into()),
+                ("incremental_s", f6(p.incremental_s)),
+                ("incremental_repeats", p.incremental_repeats.into()),
+                ("parallel_s", f6(p.parallel_s)),
+                ("reference_s", p.reference_s.map(f6).into()),
+                ("reference_censored", p.reference_censored.into()),
+                ("speedup", p.speedup().map(f2).into()),
+                ("norm_rel_gap", p.norm_rel_gap.map(e3).into()),
+                ("parallel_rel_gap", e3(p.parallel_rel_gap)),
+            ]
+        }))
+}
+
+/// E21 at a tier: the `scaling_multi` table and the `BENCH_multi.json`
+/// record, one point per `(n, m, levels, seed, reference_budget_s)`
+/// witness.
+///
+/// The quick and smoke witnesses finish in seconds; their reference
+/// budgets are generous, so censoring only triggers on pathological
+/// machines (and is recorded as such rather than failing). In the full
+/// tier the m = 4 points complete on both engines (probed:
+/// milliseconds-to-seconds for the reference); the m = 8 points at
+/// n = 24/30 carry 10–15-minute censor budgets the seed engine was
+/// probed to exceed — the incremental engine solves those witnesses in
+/// well under a second, so even the censored floors record 3–4 orders
+/// of magnitude of speedup; the n = 34/40 reach points do not attempt
+/// the reference at all.
+pub fn multi_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let witnesses: &[(usize, usize, u64, u64, f64)] = match tier {
+        Tier::Quick | Tier::Smoke => &[
+            (12, 4, 8, 1, 60.0),
+            (16, 4, 12, 1, 60.0),
+            (20, 8, 4, 8, 0.0),
+        ],
+        Tier::Full => &[
+            (16, 4, 12, 1, 600.0),
+            (20, 4, 12, 1, 900.0),
+            (24, 8, 12, 4, 900.0),
+            (30, 8, 4, 10, 600.0),
+            (30, 8, 4, 12, 600.0),
+            (34, 8, 12, 5, 0.0),
+            (40, 8, 12, 2, 0.0),
+        ],
+    };
+    let specs: Vec<MultiPointSpec> = witnesses
+        .iter()
+        .map(|&(n, m, levels, seed, reference_budget_s)| MultiPointSpec {
+            n,
+            m,
+            levels,
+            seed,
+            reference_budget_s,
+        })
+        .collect();
+    let points = multi_scaling(&specs);
+    (multi_table(&points), multi_record(&points))
 }
 
 /// One measured point of the E22 OA kinetic-vs-sweep sweep.
@@ -985,17 +894,6 @@ pub fn oa_scaling(sizes: &[usize], reference_cap: usize) -> Vec<OaScalingPoint> 
     points
 }
 
-/// The default E22 sweep (reference measured at every point including
-/// the n = 20000 acceptance configuration).
-pub fn oa_scaling_default() -> Vec<OaScalingPoint> {
-    oa_scaling(&[1_000, 5_000, 20_000], 20_000)
-}
-
-/// The smoke-tier E22 sweep: seconds-scale, exercised in CI.
-pub fn oa_scaling_smoke() -> Vec<OaScalingPoint> {
-    oa_scaling(&[256, 1_024], 1_024)
-}
-
 /// Render E22 points as the `scaling_oa` CSV table.
 pub fn oa_table(points: &[OaScalingPoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -1024,40 +922,36 @@ pub fn oa_table(points: &[OaScalingPoint]) -> CsvTable {
     table
 }
 
-/// Render E22 points as the `BENCH_oa.json` document — the OA path's
+/// Render E22 points as the `BENCH_oa.json` record — the OA path's
 /// perf-trajectory record, sibling to the other `BENCH_*` files.
-pub fn oa_bench_json(points: &[OaScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"oa_kinetic_tournament\",\n");
-    out.push_str(&format!(
-        "  \"instance_families\": [\"{}\", \"{}\"],\n",
-        E22_FAMILIES[0], E22_FAMILIES[1]
-    ));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"family\": \"{}\", \"kinetic_s\": {:.6}, \"kinetic_repeats\": {}, \"reference_s\": {}, \"reference_repeats\": {}, \"speedup\": {}, \"energy_rel_gap\": {}}}{}\n",
-            p.n,
-            p.family,
-            p.kinetic_s,
-            p.kinetic_repeats,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_repeats
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn oa_record(points: &[OaScalingPoint]) -> BenchFile {
+    BenchFile::new("oa_kinetic_tournament")
+        .header("instance_families", E22_FAMILIES.to_vec())
+        .header("metric", "wall_seconds_min_over_repeats")
+        .points(points.iter().map(|p| {
+            vec![
+                ("n", p.n.into()),
+                ("family", p.family.into()),
+                ("kinetic_s", f6(p.kinetic_s)),
+                ("kinetic_repeats", p.kinetic_repeats.into()),
+                ("reference_s", p.reference_s.map(f6).into()),
+                ("reference_repeats", p.reference_repeats.into()),
+                ("speedup", p.speedup().map(f2).into()),
+                ("energy_rel_gap", p.energy_rel_gap.map(e3).into()),
+            ]
+        }))
+}
+
+/// E22 at a tier: the `scaling_oa` table and the `BENCH_oa.json`
+/// record. The full tier measures the reference at every point, the
+/// n = 20000 acceptance configuration included.
+pub fn oa_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick => oa_scaling(&[256, 1_024, 4_096], 4_096),
+        Tier::Smoke => oa_scaling(&[256, 1_024], 1_024),
+        Tier::Full => oa_scaling(&[1_000, 5_000, 20_000], 20_000),
+    };
+    (oa_table(&points), oa_record(&points))
 }
 
 #[cfg(test)]
@@ -1081,7 +975,7 @@ mod tests {
         assert!(points[3].energy_rel_gap.is_none());
         let table = super::oa_table(&points);
         assert_eq!(table.rows.len(), 4);
-        let json = super::oa_bench_json(&points);
+        let json = super::oa_record(&points).render();
         assert!(json.contains("\"bench\": \"oa_kinetic_tournament\""));
         assert!(json.contains("\"family\": \"clustered\""));
         assert!(json.contains("\"reference_s\": null"));
@@ -1105,7 +999,7 @@ mod tests {
         assert!(points[1].curve_reference_s.is_none());
         let table = super::flow_table(&points);
         assert_eq!(table.rows.len(), 2);
-        let json = super::flow_bench_json(&points);
+        let json = super::flow_record(&points).render();
         assert!(json.contains("\"bench\": \"flow_block_decomposition\""));
         assert!(json.contains("\"curve_reference_s\": null"));
     }
@@ -1125,13 +1019,15 @@ mod tests {
         }
         let table = super::yds_table(&points);
         assert_eq!(table.rows.len(), 2);
-        let json = super::yds_bench_json(&points);
+        let json = super::yds_record(&points).render();
         assert!(json.contains("\"bench\": \"yds_timeline_engine\""));
         assert!(json.contains("\"n\": 48"));
         // The reference cap turns missing measurements into nulls.
         let capped = super::yds_scaling(&[48, 96], 48);
         assert!(capped[1].reference_s.is_none());
-        assert!(super::yds_bench_json(&capped).contains("\"reference_s\": null"));
+        assert!(super::yds_record(&capped)
+            .render()
+            .contains("\"reference_s\": null"));
     }
 
     #[test]
@@ -1176,7 +1072,7 @@ mod tests {
         assert!(!points[1].reference_censored);
         let table = super::multi_table(&points);
         assert_eq!(table.rows.len(), 2);
-        let json = super::multi_bench_json(&points);
+        let json = super::multi_record(&points).render();
         assert!(json.contains("\"bench\": \"multi_incremental_bb\""));
         assert!(json.contains("\"reference_s\": null"));
         assert!(json.contains("\"reference_censored\": false"));
@@ -1201,7 +1097,9 @@ mod tests {
         assert!(p.reference_censored, "expected censoring, got {p:?}");
         assert!((p.reference_s.unwrap() - 0.05).abs() < 1e-9);
         assert!(p.norm_rel_gap.is_none());
-        assert!(super::multi_bench_json(&points).contains("\"reference_censored\": true"));
+        assert!(super::multi_record(&points)
+            .render()
+            .contains("\"reference_censored\": true"));
         assert!(super::multi_table(&points).rows[0][8].starts_with(">="));
     }
 

@@ -24,7 +24,8 @@
 //! while keeping p99 in the same band — overload degrades *capacity*,
 //! not per-decision latency.
 
-use crate::harness::{fmt, CsvTable};
+use crate::bench_file::{f6, BenchFile, Val};
+use crate::harness::{fmt, CsvTable, Tier};
 use pas_core::online::SpendAll;
 use pas_power::PolyPower;
 use pas_sim::online::{AdmissionConfig, ShedPolicy};
@@ -209,16 +210,6 @@ pub fn serve_sweep(n: usize, fault_events: usize, seed: u64) -> Vec<ServePoint> 
     points
 }
 
-/// The acceptance-tier sweep: a million jobs per pattern.
-pub fn serve_default() -> Vec<ServePoint> {
-    serve_sweep(1_000_000, 64, 1)
-}
-
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn serve_smoke() -> Vec<ServePoint> {
-    serve_sweep(4_000, 16, 1)
-}
-
 /// Render points as the `serve_throughput` CSV table.
 pub fn serve_table(points: &[ServePoint]) -> CsvTable {
     let mut table = CsvTable::new(
@@ -263,45 +254,48 @@ pub fn serve_table(points: &[ServePoint]) -> CsvTable {
     table
 }
 
-/// Render points as the `BENCH_serve.json` document — the serving
+/// Render points as the `BENCH_serve.json` record — the serving
 /// layer's trajectory record, sibling to the other `BENCH_*` files.
-pub fn serve_bench_json(points: &[ServePoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"serve_throughput\",\n");
-    out.push_str(
-        "  \"setup\": \"full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs; each row then restores from its journal and replays to a bit-identical outcome digest\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"sustained jobs/sec (delivered over wall-clock), p50/p99/max decision latency in nanoseconds, and restore_secs (Server::restore over the full journal)\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arrivals\": \"{}\", \"n\": {}, \"fault_events\": {}, \"seed\": {}, \"delivered\": {}, \"shed_jobs\": {}, \"elapsed_secs\": {:.6}, \"jobs_per_sec\": {:.1}, \"restore_secs\": {:.6}, \"decisions\": {}, \"p50_decide_nanos\": {}, \"p99_decide_nanos\": {}, \"max_decide_nanos\": {}, \"watchdog_trips\": {}, \"energy\": {:.6}}}{}\n",
-            p.arrivals,
-            p.n,
-            p.fault_events,
-            p.seed,
-            p.delivered,
-            p.shed_jobs,
-            p.elapsed_secs,
-            p.jobs_per_sec(),
-            p.restore_secs,
-            p.decisions,
-            p.p50_decide_nanos,
-            p.p99_decide_nanos,
-            p.max_decide_nanos,
-            p.watchdog_trips,
-            p.energy,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn serve_record(points: &[ServePoint]) -> BenchFile {
+    BenchFile::new("serve_throughput")
+        .header(
+            "setup",
+            "full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs; each row then restores from its journal and replays to a bit-identical outcome digest",
+        )
+        .header(
+            "metric",
+            "sustained jobs/sec (delivered over wall-clock), p50/p99/max decision latency in nanoseconds, and restore_secs (Server::restore over the full journal)",
+        )
+        .points(points.iter().map(|p| {
+            vec![
+                ("arrivals", p.arrivals.into()),
+                ("n", p.n.into()),
+                ("fault_events", p.fault_events.into()),
+                ("seed", p.seed.into()),
+                ("delivered", p.delivered.into()),
+                ("shed_jobs", p.shed_jobs.into()),
+                ("elapsed_secs", f6(p.elapsed_secs)),
+                ("jobs_per_sec", Val::Fixed(p.jobs_per_sec(), 1)),
+                ("restore_secs", f6(p.restore_secs)),
+                ("decisions", p.decisions.into()),
+                ("p50_decide_nanos", p.p50_decide_nanos.into()),
+                ("p99_decide_nanos", p.p99_decide_nanos.into()),
+                ("max_decide_nanos", p.max_decide_nanos.into()),
+                ("watchdog_trips", p.watchdog_trips.into()),
+                ("energy", f6(p.energy)),
+            ]
+        }))
 }
 
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run() -> Vec<CsvTable> {
-    vec![serve_table(&serve_smoke())]
+/// E24 at a tier: the `serve_throughput` table and the
+/// `BENCH_serve.json` record. The full tier serves a million jobs per
+/// pattern.
+pub fn serve_bench(tier: Tier) -> (CsvTable, BenchFile) {
+    let points = match tier {
+        Tier::Quick | Tier::Smoke => serve_sweep(4_000, 16, 1),
+        Tier::Full => serve_sweep(1_000_000, 64, 1),
+    };
+    (serve_table(&points), serve_record(&points))
 }
 
 #[cfg(test)]
@@ -338,7 +332,7 @@ mod tests {
         let points = serve_sweep(32, 4, 1);
         let table = serve_table(&points);
         assert_eq!(table.rows.len(), points.len());
-        let json = serve_bench_json(&points);
+        let json = serve_record(&points).render();
         assert_eq!(json.matches("\"arrivals\"").count(), points.len());
         assert!(json.ends_with("  ]\n}\n"));
     }

@@ -1,4 +1,5 @@
-//! Shared experiment utilities: CSV tables, timing, parallel sweeps.
+//! Shared experiment utilities: CSV tables, record tiers, timing,
+//! parallel sweeps.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -56,6 +57,17 @@ impl CsvTable {
         println!("# {}", self.name);
         print!("{}", self.to_csv());
     }
+}
+
+/// How much of a `BENCH_*` path `exp-scaling` measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// No `--bench-json`: tables only, references capped (~1 minute).
+    Quick,
+    /// `--smoke`: seconds-scale sizes, the CI tier.
+    Smoke,
+    /// The acceptance sizes of the committed records (tens of minutes).
+    Full,
 }
 
 /// Format an f64 with enough digits for reproduction comparisons.

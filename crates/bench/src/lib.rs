@@ -4,22 +4,24 @@
 //! every quantitative claim the reproduction tracks (EXPERIMENTS.md).
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
-//! [`CsvTable`]s; the `exp-*` binaries are thin wrappers printing one
-//! experiment to stdout, and `exp-all` writes every table under
-//! `results/`. Criterion benches (in `benches/`) cover the performance
-//! claims (IncMerge's linearity vs the DP and MoveRight baselines, etc.).
+//! [`CsvTable`]s, registered by name in [`experiments::EXPERIMENTS`]:
+//! `exp-all` writes every table under `results/`, and
+//! `exp-all --only NAME` prints one experiment to stdout. Criterion
+//! benches (in `benches/`) cover the performance claims (IncMerge's
+//! linearity vs the DP and MoveRight baselines, etc.).
 //!
-//! The engine-vs-reference rewrites each record a perf trajectory as a
-//! repo-root JSON file via `exp-scaling --bench-json` (see README.md's
-//! `BENCH_*` convention): E19 `BENCH_yds.json` (§2 deadline stack),
-//! E20 `BENCH_flow.json` (§4 flow solver), E21 `BENCH_multi.json`
-//! (§5 multiprocessor partition). `--smoke` is the seconds-scale tier
-//! CI runs so the plumbing cannot rot.
+//! The engine-vs-reference rewrites record their perf trajectories as
+//! the nine repo-root `BENCH_*.json` files (E13, E19–E26), listed with
+//! their sizing and gates in [`records::RECORDS`], written by
+//! [`bench_file`], and regenerated by `exp-scaling --bench-json` (see
+//! README.md).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod bench_file;
 pub mod experiments;
 pub mod harness;
+pub mod records;
 
 pub use harness::CsvTable;
