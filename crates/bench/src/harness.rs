@@ -1,9 +1,7 @@
-//! Shared experiment utilities: CSV tables, record tiers, timing,
-//! parallel sweeps.
+//! Shared experiment utilities: CSV tables, record tiers, timing.
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A named CSV table produced by an experiment.
@@ -90,32 +88,6 @@ pub fn time_min<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out.expect("repeats >= 1"), best)
 }
 
-/// Run `tasks` across scoped threads (one per task, which is fine for
-/// the handful of coarse sweep points the experiments use) and collect
-/// results in input order.
-pub fn parallel_sweep<T: Send, I: Send + Sync>(
-    inputs: &[I],
-    f: impl Fn(&I) -> T + Send + Sync,
-) -> Vec<T> {
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..inputs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for (k, input) in inputs.iter().enumerate() {
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || {
-                let value = f(input);
-                results.lock().expect("sweep threads do not panic")[k] = Some(value);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("sweep threads do not panic")
-        .into_iter()
-        .map(|v| v.expect("every task completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +104,5 @@ mod tests {
         let (v, secs) = time_min(3, || 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn sweep_preserves_order() {
-        let inputs: Vec<u64> = (0..16).collect();
-        let out = parallel_sweep(&inputs, |&x| x * x);
-        assert_eq!(out, inputs.iter().map(|x| x * x).collect::<Vec<_>>());
     }
 }

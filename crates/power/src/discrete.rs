@@ -10,7 +10,7 @@
 //! target speed is optimally emulated by time-slicing the two levels that
 //! bracket it).
 
-use crate::model::PowerModel;
+use crate::model::{PowerError, PowerModel};
 
 /// A finite, strictly increasing set of legal speeds over a continuous
 /// power curve.
@@ -101,12 +101,9 @@ impl<M: PowerModel> DiscreteSpeeds<M> {
             return TwoLevelSplit {
                 lo_speed: lo,
                 hi_speed: hi,
-                lo_time: if (lo - target).abs() <= f64::EPSILON * target.abs() {
-                    work / lo
-                } else {
-                    // Outside the ladder: run everything at the nearest level.
-                    work / lo
-                },
+                // On a level, or outside the ladder: run everything at
+                // the nearest level.
+                lo_time: work / lo,
                 hi_time: 0.0,
                 exact: (lo - target).abs() <= 1e-12 * target.abs().max(1.0),
             };
@@ -167,6 +164,8 @@ impl<M: PowerModel> DiscreteSpeeds<M> {
 /// every algorithm actually consults, `g(σ) = P(σ)/σ`, stays **strictly
 /// increasing**: each chord `aσ + b` has `b < 0` (it lies above a convex
 /// curve through the origin), so `g(σ) = a + b/σ` strictly increases.
+/// The same shape gives `g` a closed-form inverse
+/// (`speed_for_energy_per_work` below).
 impl<M: PowerModel> PowerModel for DiscreteSpeeds<M> {
     fn power(&self, speed: f64) -> f64 {
         let (lo, hi) = (self.min_speed(), self.max_speed());
@@ -184,6 +183,54 @@ impl<M: PowerModel> PowerModel for DiscreteSpeeds<M> {
 
     fn name(&self) -> String {
         format!("ladder{}[{}]", self.levels.len(), self.model.name())
+    }
+
+    /// The closed-form inverse of `g(σ) = P(σ)/σ` on the curve above, with
+    /// no bisection.
+    ///
+    /// Outside the ladder the curve is the model's, so the model inverts
+    /// it. Inside, the level densities `g_k = P(s_k)/s_k` increase with
+    /// `k`; the segment whose end densities bracket `e` has chord
+    /// `P = aσ + b`, and `a + b/σ = e` has the one root `σ = b/(e − a)`
+    /// (`b < 0` and `e < a`). It is evaluated in the equivalent form
+    /// `s_l·s_h·(g_h − g_l) / (s_h·(g_h − e) + s_l·(e − g_l))`, whose
+    /// denominator adds two non-negative terms and so never cancels. A
+    /// level's own density gives back that level exactly. The trait's
+    /// default bisection over [`PowerModel::energy_per_work`] is the
+    /// oracle this is tested against.
+    fn speed_for_energy_per_work(&self, e: f64) -> Result<f64, PowerError> {
+        if e < 0.0 {
+            return Err(PowerError::Unreachable { energy_per_work: e });
+        }
+        if e == 0.0 {
+            return Ok(0.0);
+        }
+        // Binary search for the first level whose density reaches `e`,
+        // keeping the densities of the final bracket `[lo - 1, lo]` so no
+        // level's power is evaluated twice.
+        let (mut lo, mut hi) = (0, self.levels.len());
+        let (mut gl, mut gh) = (0.0, 0.0);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let g = self.model.power(self.levels[mid]) / self.levels[mid];
+            if g < e {
+                (lo, gl) = (mid + 1, g);
+            } else {
+                (hi, gh) = (mid, g);
+            }
+        }
+        if lo == self.levels.len() {
+            return self.model.speed_for_energy_per_work(e);
+        }
+        let sh = self.levels[lo];
+        if gh == e {
+            return Ok(sh);
+        }
+        if lo == 0 {
+            return self.model.speed_for_energy_per_work(e);
+        }
+        let sl = self.levels[lo - 1];
+        Ok(sl * sh * (gh - gl) / (sh * (gh - e) + sl * (e - gl)))
     }
 }
 
@@ -361,6 +408,57 @@ mod tests {
             assert!(
                 (d.energy_per_work(s) - e).abs() < 1e-9 * e.max(1.0),
                 "e={e}"
+            );
+        }
+    }
+
+    /// The closed-form ladder inverse against the trait's bisection over
+    /// the same curve, on seeded random ladders, models and densities.
+    #[test]
+    fn ladder_inverse_matches_the_bisection_oracle() {
+        use pas_numeric::roots::invert_monotone;
+        use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(19);
+        for _ in 0..1000 {
+            let model =
+                PolyPower::with_coefficient(1.2 + 2.8 * rng.gen_f64(), 0.1 + 4.9 * rng.gen_f64());
+            let k = 1 + (rng.next_u64() % 6) as usize;
+            let levels = (0..k).map(|_| 0.05 + 3.95 * rng.gen_f64()).collect();
+            let d = DiscreteSpeeds::new(model, levels);
+            let own: Vec<f64> = d.levels().iter().map(|&s| d.energy_per_work(s)).collect();
+            let random = (0..50).map(|_| 10f64.powf(-6.0 + 12.0 * rng.gen_f64()));
+            for e in own.iter().copied().chain(random) {
+                let got = d.speed_for_energy_per_work(e).unwrap();
+                let want = invert_monotone(|s| d.energy_per_work(s), e, 1.0, 1e-14, 0.0).unwrap();
+                // The oracle stops once its bracket is narrower than its
+                // absolute tolerance of 1e-14.
+                assert!(
+                    (got - want).abs() <= 1e-12 * want + 1e-14,
+                    "{:?}: e={e:e} gave {got:e}, oracle {want:e}",
+                    d.levels()
+                );
+                // Near the slow end of a wide segment one ulp of σ moves g
+                // by more than 1e-12 relative (up to ~1e-11 here), so the
+                // round trip is also allowed g's rise over ±1 ulp of σ.
+                let next = |bits: u64| d.energy_per_work(f64::from_bits(bits));
+                let ulp_rise = (next(got.to_bits() + 1) - next(got.to_bits() - 1)).abs();
+                let back = d.energy_per_work(got);
+                assert!(
+                    (back - e).abs() <= 1e-12 * e + ulp_rise,
+                    "{:?}: e={e:e} gave {got:e}, g back {back:e}",
+                    d.levels()
+                );
+            }
+            for (&s, &e) in d.levels().iter().zip(&own) {
+                assert_eq!(d.speed_for_energy_per_work(e).unwrap(), s);
+            }
+            assert_eq!(d.speed_for_energy_per_work(0.0).unwrap(), 0.0);
+            assert_eq!(
+                d.speed_for_energy_per_work(-1.0),
+                Err(PowerError::Unreachable {
+                    energy_per_work: -1.0
+                })
             );
         }
     }
