@@ -51,7 +51,7 @@ pub enum ScenarioError {
         /// The offending value.
         horizon: f64,
     },
-    /// A host's cap or availability is malformed.
+    /// A host's cap, availability, or admission queue is malformed.
     BadHost {
         /// The host id.
         id: u32,
@@ -163,6 +163,12 @@ impl FleetScenario {
                         reason: format!("speed cap {cap} must be finite and positive"),
                     });
                 }
+            }
+            if let Some(ac) = &h.admission {
+                ac.validate().map_err(|e| ScenarioError::BadHost {
+                    id: h.id,
+                    reason: e.to_string(),
+                })?;
             }
         }
         for ev in &self.events {
@@ -280,6 +286,7 @@ mod tests {
     use super::*;
     use crate::host::EnginePower;
     use pas_power::{HostPower, PolyPower};
+    use pas_sim::online::{AdmissionConfig, ShedPolicy};
     use pas_workload::Job;
 
     fn two_hosts() -> Vec<HostConfig> {
@@ -319,6 +326,22 @@ mod tests {
             },
         });
         assert_eq!(s.validate(), Err(ScenarioError::UnknownHost { id: 9 }));
+    }
+
+    #[test]
+    fn rejects_an_invalid_admission_queue() {
+        let mut hosts = two_hosts();
+        hosts[1].admission = Some(AdmissionConfig {
+            capacity: 0,
+            shed: ShedPolicy::RejectNewest,
+        });
+        let s = FleetScenario::new(hosts, workload(), 10.0, 1);
+        match s.validate() {
+            Err(ScenarioError::BadHost { id: 1, reason }) => {
+                assert!(reason.contains("capacity"), "{reason}");
+            }
+            other => panic!("expected BadHost for host 1, got {other:?}"),
+        }
     }
 
     #[test]

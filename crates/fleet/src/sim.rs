@@ -319,10 +319,12 @@ fn idle_gaps(mut occupied: Vec<(f64, f64)>, start: f64, end: f64) -> Vec<f64> {
 }
 
 /// One worker's reusable buffers, cleared — not reallocated — between
-/// hosts. The engine arena inside is recycled by `run_online_pooled`
-/// and is observationally identical to a fresh one (pinned by
-/// `pas_sim`'s recycle-equivalence tests), so pooling cannot perturb a
-/// single bit of any outcome.
+/// hosts. The engine arena inside is recycled by
+/// [`run_online_pooled`], the engine's one general entry, and is
+/// observationally identical to a fresh one (pinned by `pas_sim`'s
+/// recycle-equivalence tests and by `tests/online_equivalence.rs`,
+/// which drives one reused scratch against the reference engine), so
+/// pooling cannot perturb a single bit of any outcome.
 struct WorkerScratch {
     engine: EngineScratch,
     jobs: Vec<Job>,

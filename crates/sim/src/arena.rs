@@ -1,7 +1,7 @@
 //! Data-oriented job-state arena for the online engine.
 //!
 //! [`ShardedReadySet`] replaces the AoS `Vec<PendingJob>` behind the
-//! original [`ReadySet`](crate::online::ReadySet) with a
+//! original [`ReadySet`](crate::reference::ReadySet) with a
 //! struct-of-arrays slab: one parallel array per field (`ids`,
 //! `releases`, `works`, `remainings`), stable slots recycled through a
 //! free list, and a `BandLedger` sharding the live jobs by *deadline
@@ -175,7 +175,7 @@ impl BandLedger {
 }
 
 /// Struct-of-arrays arena behind the online engine: the data-oriented
-/// replacement for [`ReadySet`](crate::online::ReadySet).
+/// replacement for [`ReadySet`](crate::reference::ReadySet).
 ///
 /// Jobs live in parallel arrays indexed by *slot*; a slot is stable for
 /// a job's whole residency (no swap-remove compaction), vacated slots
@@ -277,38 +277,6 @@ impl ShardedReadySet {
         &self.bands
     }
 
-    /// Clear the arena for a fresh run with new band geometry, keeping
-    /// every allocation: lane vectors, free list, id map, and queue all
-    /// retain their capacity. A recycled arena is observationally
-    /// identical to `with_bands(origin, width)` — same (empty) logical
-    /// state, same accumulator bits — which is what lets the fleet
-    /// executor's worker-local scratch pools reuse one arena across
-    /// hosts without perturbing any digest.
-    pub(crate) fn recycle(&mut self, origin: f64, width: f64) {
-        self.ids.clear();
-        self.releases.clear();
-        self.works.clear();
-        self.remainings.clear();
-        self.free.clear();
-        self.slot_of.clear();
-        self.queue.clear();
-        self.backlog = 0.0;
-        self.seen_work = 0.0;
-        self.first_arrival = None;
-        self.bands.reset(origin, width);
-    }
-
-    /// Pre-size every lane (and the id map / queue) for `jobs` residents
-    /// so a run admits without growing.
-    pub(crate) fn reserve_slots(&mut self, jobs: usize) {
-        self.ids.reserve(jobs);
-        self.releases.reserve(jobs);
-        self.works.reserve(jobs);
-        self.remainings.reserve(jobs);
-        self.slot_of.reserve(jobs);
-        self.queue.reserve(jobs);
-    }
-
     /// Rebuild an arena from snapshot parts, bit-identical to the
     /// captured one: same slots, same free-list order, same queue, same
     /// accumulator and ledger bits (`slot_of` is derived; vacant cells
@@ -408,11 +376,21 @@ impl ReadyView for ShardedReadySet {
 }
 
 impl ReadyStore for ShardedReadySet {
-    fn with_bands(origin: f64, width: f64) -> ShardedReadySet {
-        ShardedReadySet {
-            bands: BandLedger::new(origin, width),
-            ..ShardedReadySet::default()
-        }
+    /// Clears in place: lane vectors, free list, id map, and queue all
+    /// keep their capacity, which is what lets the fleet executor's
+    /// worker-local scratch reuse one arena across hosts.
+    fn recycle(&mut self, origin: f64, width: f64) {
+        self.ids.clear();
+        self.releases.clear();
+        self.works.clear();
+        self.remainings.clear();
+        self.free.clear();
+        self.slot_of.clear();
+        self.queue.clear();
+        self.backlog = 0.0;
+        self.seen_work = 0.0;
+        self.first_arrival = None;
+        self.bands.reset(origin, width);
     }
 
     fn admit(&mut self, job: PendingJob) {
@@ -512,6 +490,12 @@ impl ReadyStore for ShardedReadySet {
 mod tests {
     use super::*;
 
+    fn arena(origin: f64, width: f64) -> ShardedReadySet {
+        let mut set = ShardedReadySet::default();
+        set.recycle(origin, width);
+        set
+    }
+
     fn pj(id: u32, release: f64, work: f64) -> PendingJob {
         PendingJob {
             id,
@@ -523,7 +507,7 @@ mod tests {
 
     #[test]
     fn slots_are_stable_and_recycled() {
-        let mut set = ShardedReadySet::with_bands(0.0, 1.0);
+        let mut set = arena(0.0, 1.0);
         set.admit(pj(0, 0.0, 2.0));
         set.admit(pj(1, 1.0, 3.0));
         set.admit(pj(2, 2.0, 4.0));
@@ -541,7 +525,7 @@ mod tests {
 
     #[test]
     fn iteration_is_admission_order_and_skips_dead_ids() {
-        let mut set = ShardedReadySet::with_bands(0.0, 1.0);
+        let mut set = arena(0.0, 1.0);
         for id in 0..5 {
             set.admit(pj(id, id as f64, 1.0));
         }
@@ -555,7 +539,7 @@ mod tests {
 
     #[test]
     fn band_ledger_tracks_admit_execute_remove_reset() {
-        let mut set = ShardedReadySet::with_bands(0.0, 2.0);
+        let mut set = arena(0.0, 2.0);
         set.admit(pj(0, 0.5, 4.0)); // band 0
         set.admit(pj(1, 5.0, 2.0)); // band 2
         set.admit(pj(2, 100.0, 1.0)); // clamps into band 7
@@ -580,7 +564,7 @@ mod tests {
 
     #[test]
     fn recycled_arena_is_indistinguishable_from_fresh() {
-        let mut used = ShardedReadySet::with_bands(0.0, 1.0);
+        let mut used = arena(0.0, 1.0);
         for id in 0..6 {
             used.admit(pj(id, 0.4 * id as f64, 1.0 + id as f64));
         }
@@ -589,9 +573,11 @@ mod tests {
         used.remove(s);
         used.cancel(4).unwrap();
         used.recycle(3.0, 2.5);
-        used.reserve_slots(4);
 
-        let mut fresh = ShardedReadySet::with_bands(3.0, 2.5);
+        let mut fresh = ShardedReadySet {
+            bands: BandLedger::new(3.0, 2.5),
+            ..ShardedReadySet::default()
+        };
         // Drive both through the same post-recycle history and compare
         // every observable.
         for set in [&mut used, &mut fresh] {
@@ -615,7 +601,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_bitwise() {
-        let mut set = ShardedReadySet::with_bands(0.0, 1.0);
+        let mut set = arena(0.0, 1.0);
         for id in 0..4 {
             set.admit(pj(id, 0.3 * id as f64, 1.0 + id as f64));
         }

@@ -21,10 +21,16 @@
 //! * [`online`] — an event-driven engine that feeds arrivals to an
 //!   [`online::OnlinePolicy`] and assembles its decisions
 //!   into a `Schedule`, enabling the §6 "future work" online-vs-offline
-//!   experiments under identical accounting. Job state lives in the
-//!   data-oriented [`arena`] (struct-of-arrays slab sharded by deadline
-//!   band); the original AoS path is retained in [`reference`](mod@reference) and held
-//!   bit-identical by `tests/online_equivalence.rs`.
+//!   experiments under identical accounting. One general entry,
+//!   [`online::run_online_pooled`] (fault plan, optional admission
+//!   queue, reusable [`online::EngineScratch`]), and one event loop;
+//!   [`online::run_online`] and [`online::run_online_with_faults`] are
+//!   one-line calls into it. Job state lives in the data-oriented
+//!   [`arena`] (struct-of-arrays slab sharded by deadline band); the
+//!   original AoS store and its one entry,
+//!   [`reference::run_online_reference`], are retained in
+//!   [`reference`](mod@reference) and held bit-identical by
+//!   `tests/online_equivalence.rs`.
 //! * [`faults`] — deterministic, seeded fault scenarios (crashes with
 //!   lost or checkpointed progress, cancellations, throttle windows,
 //!   arrival bursts) injected into the engine via
@@ -58,13 +64,10 @@ pub use fnv::Fnv;
 pub use journal::{outcome_digest, Journal, JournalError};
 pub use metrics::Metrics;
 pub use online::{
-    run_online, run_online_gated, run_online_pooled, run_online_with_faults, AdmissionConfig,
-    Decision, EngineScratch, OnlineOutcome, OnlinePolicy, PendingJob, ReadySet, ReadyView,
-    ShedPolicy, SimError,
+    run_online, run_online_pooled, run_online_with_faults, AdmissionConfig, Decision,
+    EngineScratch, OnlineOutcome, OnlinePolicy, PendingJob, ReadyView, ShedPolicy, SimError,
 };
-pub use reference::{
-    run_online_gated_reference, run_online_reference, run_online_with_faults_reference,
-};
+pub use reference::run_online_reference;
 pub use render::render_ascii;
 pub use schedule::{Schedule, ScheduleError};
 pub use serve::{ServeConfig, ServeOutcome, ServeStats, Server, WatchdogConfig};

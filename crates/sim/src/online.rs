@@ -13,9 +13,11 @@
 //! re-consults the policy at every *event*: a job arrival, a job
 //! completion, a policy-requested checkpoint — or, under a
 //! [`FaultPlan`], a fault (crash/recovery, cancellation, throttle
-//! window, arrival burst). [`run_online`] is the fault-free entry
-//! point; [`run_online_with_faults`] injects a deterministic fault
-//! scenario and reports its cost through the outcome's
+//! window, arrival burst). [`run_online_pooled`] is the one general
+//! entry point: a fault plan, an optional bounded admission queue, and
+//! a reusable [`EngineScratch`]. [`run_online`] (fault-free) and
+//! [`run_online_with_faults`] are one-line calls into it with a fresh
+//! scratch; a fault scenario's cost is reported through the outcome's
 //! [`ResilienceReport`].
 //!
 //! # Scale
@@ -30,18 +32,19 @@
 //! runs at `n` in the tens of thousands.
 //!
 //! Two interchangeable storage engines implement the view: the
-//! data-oriented [`ShardedReadySet`]
-//! arena (struct-of-arrays slab, stable free-listed slots, batched
-//! arrival ingestion — the default), and the original AoS [`ReadySet`]
-//! retained as the reference path (driven by
-//! [`crate::reference::run_online_reference`]). The event loop is
-//! generic over the `ReadyStore` engine trait, so both paths execute
-//! the identical floating-point operation sequence and produce
-//! bit-identical outcomes — a contract `tests/online_equivalence.rs`
-//! enforces across proptested event streams, fault plans, and
+//! data-oriented [`ShardedReadySet`] arena (struct-of-arrays slab,
+//! stable free-listed slots, batched arrival ingestion — the one every
+//! entry point here runs), and the original AoS
+//! [`ReadySet`](crate::reference::ReadySet), kept in
+//! [`crate::reference`] as the oracle. There is one event loop, generic
+//! over the `ReadyStore` engine trait, and both stores instantiate it,
+//! so both execute the identical floating-point operation sequence and
+//! produce bit-identical outcomes — a contract
+//! `tests/online_equivalence.rs` enforces across proptested event
+//! streams, fault plans, admission rules, a reused scratch, and
 //! crash/restore cuts.
 
-use crate::arena::{BandLedger, ShardedReadySet, NUM_BANDS};
+use crate::arena::{ShardedReadySet, NUM_BANDS};
 use crate::faults::{
     CrashSemantics, FaultEvent, FaultKind, FaultNotice, FaultPlan, ResilienceReport,
 };
@@ -69,7 +72,8 @@ pub struct PendingJob {
 ///
 /// Both storage engines — the data-oriented
 /// [`ShardedReadySet`] arena and the
-/// retained AoS [`ReadySet`] reference — implement this view with
+/// retained AoS [`ReadySet`](crate::reference::ReadySet) reference —
+/// implement this view with
 /// bit-identical answers, so a policy cannot tell which engine is
 /// underneath (and `tests/online_equivalence.rs` checks that it
 /// couldn't cheat if it tried).
@@ -140,10 +144,11 @@ pub trait ReadyView {
 /// implementation performs the identical floating-point accumulator
 /// updates in the identical order (the bit-identity contract).
 pub(crate) trait ReadyStore: ReadyView {
-    /// An empty store whose band shards start at `origin` with `width`.
-    fn with_bands(origin: f64, width: f64) -> Self
-    where
-        Self: Sized;
+    /// Empty the store for a fresh run whose band shards start at
+    /// `origin` with `width`. A recycled store is observationally
+    /// identical to a fresh one — same (empty) logical state, same
+    /// accumulator bits — so a pooled store can never reach a digest.
+    fn recycle(&mut self, origin: f64, width: f64);
 
     /// Admit one job (accumulators first, then placement).
     fn admit(&mut self, job: PendingJob);
@@ -188,179 +193,6 @@ pub(crate) trait ReadyStore: ReadyView {
     /// Remove a job by id (cancellation), returning its state at
     /// removal time; `None` if the id is not ready.
     fn cancel(&mut self, id: u32) -> Option<PendingJob>;
-}
-
-/// The released, unfinished jobs as an AoS `Vec` — the original
-/// storage engine, retained as the reference path for the differential
-/// harness (the default engine is the
-/// [`ShardedReadySet`] arena).
-///
-/// Kept per the workspace convention that a displaced engine survives
-/// as `*_reference` with an equivalence suite: drive it via
-/// [`crate::reference::run_online_reference`] and compare
-/// [`outcome_digest`](crate::journal::outcome_digest)s.
-#[derive(Debug, Clone, Default)]
-pub struct ReadySet {
-    /// Dense storage; `slot_of` maps ids to slots (swap-remove keeps it
-    /// dense).
-    jobs: Vec<PendingJob>,
-    slot_of: HashMap<u32, usize>,
-    /// Ids in admission (= release) order; the front is always a live
-    /// id (pruned on removal), so `first` is `O(1)`.
-    queue: VecDeque<u32>,
-    backlog: f64,
-    seen_work: f64,
-    first_arrival: Option<f64>,
-    bands: BandLedger,
-}
-
-impl ReadySet {
-    /// Iterate over the ready jobs in dense slot order (an
-    /// implementation order — policies should use the canonical
-    /// admission-order [`ReadyView::for_each`] instead).
-    pub fn iter(&self) -> impl Iterator<Item = &PendingJob> {
-        self.jobs.iter()
-    }
-}
-
-impl ReadyView for ReadySet {
-    fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    fn first(&self) -> Option<PendingJob> {
-        let &id = self.queue.front()?;
-        self.get(id)
-    }
-
-    fn get(&self, id: u32) -> Option<PendingJob> {
-        self.slot_of.get(&id).map(|&s| self.jobs[s])
-    }
-
-    fn backlog(&self) -> f64 {
-        self.backlog
-    }
-
-    fn seen_work(&self) -> f64 {
-        self.seen_work
-    }
-
-    fn first_arrival(&self) -> Option<f64> {
-        self.first_arrival
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&PendingJob)) {
-        for id in &self.queue {
-            if let Some(&slot) = self.slot_of.get(id) {
-                f(&self.jobs[slot]);
-            }
-        }
-    }
-
-    fn band_count(&self) -> usize {
-        NUM_BANDS
-    }
-
-    fn band_origin(&self) -> f64 {
-        self.bands.origin()
-    }
-
-    fn band_width(&self) -> f64 {
-        self.bands.width()
-    }
-
-    fn band_live(&self, band: usize) -> usize {
-        self.bands.live(band)
-    }
-
-    fn band_remaining(&self, band: usize) -> f64 {
-        self.bands.remaining(band)
-    }
-
-    fn band_arrived(&self, band: usize) -> f64 {
-        self.bands.arrived(band)
-    }
-}
-
-impl ReadyStore for ReadySet {
-    fn with_bands(origin: f64, width: f64) -> ReadySet {
-        ReadySet {
-            bands: BandLedger::new(origin, width),
-            ..ReadySet::default()
-        }
-    }
-
-    fn admit(&mut self, job: PendingJob) {
-        self.seen_work += job.work;
-        self.first_arrival.get_or_insert(job.release);
-        self.backlog += job.remaining;
-        self.bands.on_admit(&job);
-        self.slot_of.insert(job.id, self.jobs.len());
-        self.queue.push_back(job.id);
-        self.jobs.push(job);
-    }
-
-    fn slot(&self, id: u32) -> Option<usize> {
-        self.slot_of.get(&id).copied()
-    }
-
-    fn remaining_at(&self, slot: usize) -> f64 {
-        self.jobs[slot].remaining
-    }
-
-    fn work_at(&self, slot: usize) -> f64 {
-        self.jobs[slot].work
-    }
-
-    fn execute(&mut self, slot: usize, executed: f64) {
-        self.jobs[slot].remaining -= executed;
-        self.backlog -= executed;
-        self.bands.on_execute(self.jobs[slot].release, executed);
-    }
-
-    fn remove(&mut self, slot: usize) {
-        let job = self.jobs.swap_remove(slot);
-        self.backlog -= job.remaining;
-        self.bands.on_remove(&job);
-        self.slot_of.remove(&job.id);
-        if let Some(moved) = self.jobs.get(slot) {
-            self.slot_of.insert(moved.id, slot);
-        }
-        // Keep the queue front live so `first` stays O(1).
-        while let Some(front) = self.queue.front() {
-            if self.slot_of.contains_key(front) {
-                break;
-            }
-            self.queue.pop_front();
-        }
-    }
-
-    fn reset_progress(&mut self) -> f64 {
-        // Canonical admission order (matching the arena), so the
-        // running total sees the same additions in the same order.
-        let mut erased = 0.0;
-        for i in 0..self.queue.len() {
-            let id = self.queue[i];
-            let Some(&slot) = self.slot_of.get(&id) else {
-                continue;
-            };
-            let done = self.jobs[slot].work - self.jobs[slot].remaining;
-            if done > 0.0 {
-                erased += done;
-                self.jobs[slot].remaining = self.jobs[slot].work;
-                self.bands.on_reset(self.jobs[slot].release, done);
-            }
-        }
-        self.backlog += erased;
-        erased
-    }
-
-    fn cancel(&mut self, id: u32) -> Option<PendingJob> {
-        let &slot = self.slot_of.get(&id)?;
-        let job = self.jobs[slot];
-        self.remove(slot);
-        Some(job)
-    }
 }
 
 /// A policy's instruction for the time starting now.
@@ -450,6 +282,12 @@ pub enum SimError {
     },
     /// Event budget exceeded (runaway checkpoint loops).
     TooManyEvents,
+    /// An [`AdmissionConfig`] outside its documented domain (see
+    /// [`AdmissionConfig::validate`]).
+    InvalidAdmission {
+        /// Which field is out of range, and its value.
+        reason: String,
+    },
     /// An upstream solver or instance error reached the simulation
     /// layer (e.g. a `pas-core` error converted via `From<CoreError>`).
     /// Carries the source for [`std::error::Error::source`] chaining;
@@ -506,9 +344,11 @@ impl PartialEq for SimError {
                 SimError::InvalidSpeed { speed, at },
                 SimError::InvalidSpeed { speed: s2, at: at2 },
             ) => speed == s2 && at == at2,
-            (SimError::Solver { message, .. }, SimError::Solver { message: m2, .. }) => {
-                message == m2
-            }
+            (SimError::Solver { message, .. }, SimError::Solver { message: m2, .. })
+            | (
+                SimError::InvalidAdmission { reason: message },
+                SimError::InvalidAdmission { reason: m2 },
+            ) => message == m2,
             _ => false,
         }
     }
@@ -528,6 +368,9 @@ impl std::fmt::Display for SimError {
                 write!(f, "policy chose invalid speed {speed} at t={at}")
             }
             SimError::TooManyEvents => write!(f, "event budget exceeded"),
+            SimError::InvalidAdmission { reason } => {
+                write!(f, "invalid admission config: {reason}")
+            }
             SimError::Solver { message, .. } => write!(f, "solver error: {message}"),
         }
     }
@@ -575,7 +418,14 @@ pub fn run_online<M: pas_power::PowerModel>(
     model: &M,
     policy: &mut dyn OnlinePolicy,
 ) -> Result<OnlineOutcome, SimError> {
-    run_online_with_faults(instance, model, policy, &FaultPlan::none())
+    run_online_pooled(
+        instance,
+        model,
+        policy,
+        &FaultPlan::none(),
+        None,
+        &mut EngineScratch::new(),
+    )
 }
 
 /// [`run_online`] under a deterministic fault scenario: the plan's
@@ -605,14 +455,20 @@ pub fn run_online_with_faults<M: pas_power::PowerModel>(
     policy: &mut dyn OnlinePolicy,
     plan: &FaultPlan,
 ) -> Result<OnlineOutcome, SimError> {
-    let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
-    run_engine(&arrivals, model, policy, plan, burst_jobs)
+    run_online_pooled(
+        instance,
+        model,
+        policy,
+        plan,
+        None,
+        &mut EngineScratch::new(),
+    )
 }
 
 /// Materialize the arrival stream: base jobs plus burst jobs under
-/// fresh ids, re-sorted by release. Shared by the one-shot wrappers and
-/// the serving layer (which must rebuild the identical stream when
-/// restoring from a journal).
+/// fresh ids, re-sorted by release. The serving layer and the reference
+/// engine use it; they must build the identical stream the pooled entry
+/// builds in place.
 pub(crate) fn materialize_arrivals(instance: &Instance, plan: &FaultPlan) -> (Vec<Job>, usize) {
     let mut arrivals = Vec::new();
     let burst_jobs = materialize_arrivals_into(instance, plan, &mut arrivals);
@@ -646,27 +502,6 @@ pub(crate) fn materialize_arrivals_into(
     burst_jobs
 }
 
-/// [`run_online_with_faults`] behind a bounded admission queue: the
-/// one-shot equivalent of serving the instance through
-/// [`crate::serve::Server`] with admission control but no journal.
-/// Shed decisions are deterministic functions of the engine state, so
-/// this is also the reference surface the differential harness uses to
-/// compare the gated admission path across storage engines (see
-/// [`crate::reference::run_online_gated_reference`]).
-///
-/// # Errors
-/// As [`run_online`].
-pub fn run_online_gated<M: pas_power::PowerModel>(
-    instance: &Instance,
-    model: &M,
-    policy: &mut dyn OnlinePolicy,
-    plan: &FaultPlan,
-    admission: AdmissionConfig,
-) -> Result<OnlineOutcome, SimError> {
-    let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
-    run_engine_in::<ShardedReadySet, M>(&arrivals, model, policy, plan, burst_jobs, Some(admission))
-}
-
 /// Reusable allocation pool for back-to-back engine runs.
 ///
 /// Holds the two big per-run allocations — the materialized arrival
@@ -674,10 +509,8 @@ pub fn run_online_gated<M: pas_power::PowerModel>(
 /// list, id map, and queue all keep their capacity) — so a caller
 /// executing many instances in sequence (the fleet executor's
 /// worker-local scratch, one pool per worker thread) clears rather than
-/// reallocates between runs. [`run_online_pooled`] is the entry point;
-/// its outcome is bit-identical to [`run_online_with_faults`] /
-/// [`run_online_gated`] because a recycled arena is observationally
-/// identical to a fresh one.
+/// reallocates between runs. A recycled arena is observationally
+/// identical to a fresh one, so reuse never moves a bit of the outcome.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     arrivals: Vec<Job>,
@@ -689,25 +522,23 @@ impl EngineScratch {
     pub fn new() -> EngineScratch {
         EngineScratch::default()
     }
-
-    /// A pool pre-sized for runs of up to `jobs` arrivals, so even the
-    /// first run admits without growing.
-    pub fn with_capacity(jobs: usize) -> EngineScratch {
-        let mut scratch = EngineScratch::default();
-        scratch.arrivals.reserve(jobs);
-        scratch.ready.reserve_slots(jobs);
-        scratch
-    }
 }
 
-/// [`run_online_with_faults`] (or, with `admission`,
-/// [`run_online_gated`]) drawing its big allocations from `scratch`
-/// instead of the heap: bit-identical outcome, no per-run arrival or
-/// arena allocation. The scratch is reclaimed after the run — including
-/// most error paths — and may be reused immediately.
+/// The general entry point: run `policy` on `instance` under `plan`,
+/// behind the bounded admission queue `admission` when one is given
+/// (the one-shot equivalent of serving the instance through
+/// [`crate::serve::Server`] with no journal), drawing the arrival
+/// buffer and the arena from `scratch` instead of the heap.
+///
+/// Shed decisions are deterministic functions of the engine state. Once
+/// the engine is built, the scratch is reclaimed whether or not the run
+/// succeeds, and may be reused at once; a reused scratch gives the bits
+/// a fresh one gives. A run the constructor rejects leaves the scratch
+/// empty but usable.
 ///
 /// # Errors
-/// As [`run_online`].
+/// As [`run_online`]; [`SimError::InvalidAdmission`] for an
+/// `admission` outside its documented domain.
 pub fn run_online_pooled<M: pas_power::PowerModel>(
     instance: &Instance,
     model: &M,
@@ -718,70 +549,36 @@ pub fn run_online_pooled<M: pas_power::PowerModel>(
 ) -> Result<OnlineOutcome, SimError> {
     let burst_jobs = materialize_arrivals_into(instance, plan, &mut scratch.arrivals);
     let arrivals = std::mem::take(&mut scratch.arrivals);
-    let ready_pool = &mut scratch.ready;
-    let mut engine = EngineState::<ShardedReadySet>::new_with_store(
-        arrivals,
-        plan,
-        burst_jobs,
-        admission,
-        |origin, width| {
-            let mut ready = std::mem::take(ready_pool);
-            ready.recycle(origin, width);
-            ready
-        },
-    )?;
-    let mut stepped = Ok(());
-    while !engine.done() {
-        if let Err(e) = engine.step(model, policy) {
-            stepped = Err(e);
-            break;
-        }
-    }
-    let outcome = match stepped {
-        Ok(()) => engine.seal(),
-        Err(e) => Err(e),
-    };
-    // Reclaim the buffers whether or not the run succeeded.
-    scratch.arrivals = std::mem::take(&mut engine.arrivals);
-    scratch.ready = std::mem::take(&mut engine.ready);
+    let ready = std::mem::take(&mut scratch.ready);
+    let mut engine = EngineState::new(arrivals, plan, burst_jobs, admission, ready)?;
+    let outcome = drive(&mut engine, model, policy);
+    scratch.arrivals = engine.arrivals;
+    scratch.ready = engine.ready;
     outcome
 }
 
-/// The engine proper, over a release-sorted arrival list (base jobs +
-/// bursts). Separated from the public wrappers so the empty-arrivals
-/// guard is testable even though `Instance` cannot be empty.
-fn run_engine<M: pas_power::PowerModel>(
-    arrivals: &[Job],
+/// The one event loop outside the serving layer: step `engine` until
+/// every job is done, then seal it. Generic over the store, so the
+/// arena ([`run_online_pooled`]) and the retained reference
+/// ([`crate::reference::run_online_reference`]) execute the identical
+/// floating-point operation sequence — what makes their outcomes
+/// bit-comparable.
+pub(crate) fn drive<R: ReadyStore, M: pas_power::PowerModel>(
+    engine: &mut EngineState<R>,
     model: &M,
     policy: &mut dyn OnlinePolicy,
-    plan: &FaultPlan,
-    burst_jobs: usize,
 ) -> Result<OnlineOutcome, SimError> {
-    run_engine_in::<ShardedReadySet, M>(arrivals, model, policy, plan, burst_jobs, None)
-}
-
-/// The event loop, generic over the storage engine — the single code
-/// path both the arena and the retained reference execute, which is
-/// what makes their outcomes bit-comparable.
-pub(crate) fn run_engine_in<R: ReadyStore, M: pas_power::PowerModel>(
-    arrivals: &[Job],
-    model: &M,
-    policy: &mut dyn OnlinePolicy,
-    plan: &FaultPlan,
-    burst_jobs: usize,
-    admission: Option<AdmissionConfig>,
-) -> Result<OnlineOutcome, SimError> {
-    let mut engine = EngineState::<R>::new(arrivals.to_vec(), plan, burst_jobs, admission)?;
     while !engine.done() {
         engine.step(model, policy)?;
     }
-    engine.finish()
+    engine.seal()
 }
 
 /// Load-shedding rule for a bounded admission queue. Used by the
-/// serving layer ([`crate::serve`]); the one-shot `run_online*` entry
-/// points admit everything. All rules are deterministic functions of
-/// the engine state, so shed decisions replay exactly from a journal.
+/// serving layer ([`crate::serve`]) and [`run_online_pooled`];
+/// [`run_online`] and [`run_online_with_faults`] admit everything. All
+/// rules are deterministic functions of the engine state, so shed
+/// decisions replay exactly from a journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShedPolicy {
     /// Reject the arriving job when the queue is full.
@@ -803,16 +600,46 @@ pub enum ShedPolicy {
     },
 }
 
-/// Bounded admission queue for the serving layer: at most `capacity`
-/// admitted-but-unfinished jobs, with `shed` deciding what happens at
-/// the bound.
+/// Bounded admission queue: at most `capacity` admitted-but-unfinished
+/// jobs, with `shed` deciding what happens at the bound. Every entry
+/// that accepts one rejects it unless it passes
+/// [`validate`](AdmissionConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
-    /// Maximum number of ready (admitted, unfinished) jobs.
+    /// Maximum number of ready (admitted, unfinished) jobs (`≥ 1`).
     pub capacity: usize,
     /// What to do when admission would exceed the capacity (or, for
     /// deadline-aware shedding, when the SLO is already hopeless).
     pub shed: ShedPolicy,
+}
+
+impl AdmissionConfig {
+    /// Check the documented domain: `capacity ≥ 1`, and a
+    /// [`ShedPolicy::DeadlineAware`] rule's `slo` and `service_rate`
+    /// finite and `> 0`. Outside it the gate breaks its own bound (a
+    /// zero-capacity `EvictOldest` queue evicts nothing and admits
+    /// anyway) or never fires (a NaN prediction compares false).
+    ///
+    /// # Errors
+    /// [`SimError::InvalidAdmission`] naming the first field out of
+    /// range.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.capacity == 0 {
+            return Err(SimError::InvalidAdmission {
+                reason: "capacity 0 must be at least 1".into(),
+            });
+        }
+        if let ShedPolicy::DeadlineAware { slo, service_rate } = self.shed {
+            for (name, v) in [("slo", slo), ("service_rate", service_rate)] {
+                if !(v.is_finite() && v > 0.0) {
+                    return Err(SimError::InvalidAdmission {
+                        reason: format!("{name} {v} must be finite and > 0"),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 enum Gate {
@@ -850,17 +677,17 @@ fn gate(ac: &AdmissionConfig, job: &Job, ready: &dyn ReadyView) -> Gate {
 
 /// The engine's full mutable state, advanced one event at a time.
 ///
-/// [`run_engine`] drives it in a plain loop (the one-shot semantics are
-/// bit-identical to the pre-refactor monolith); the serving layer
-/// ([`crate::serve`]) drives it step by step so it can journal every
-/// decision, snapshot between steps, and restore a crashed process to
-/// the exact state it died in. Every field is `pub(crate)` so the
-/// snapshot codec in [`crate::journal`] can capture and rebuild the
-/// state bit-for-bit.
+/// [`drive`] steps it in a plain loop for the one-shot entries; the
+/// serving layer ([`crate::serve`]) steps it one event at a time so it
+/// can journal every decision, snapshot between steps, and restore a
+/// crashed process to the exact state it died in. Every field is
+/// `pub(crate)` so the snapshot codec in [`crate::journal`] can capture
+/// and rebuild the state bit-for-bit.
 ///
 /// Generic over the `ReadyStore` storage engine: the default is the
 /// [`ShardedReadySet`] arena; [`crate::reference`] instantiates the
-/// same loop over the retained [`ReadySet`] for the differential
+/// same state and loop over the retained
+/// [`ReadySet`](crate::reference::ReadySet) for the differential
 /// harness.
 pub(crate) struct EngineState<R: ReadyStore = ShardedReadySet> {
     pub(crate) arrivals: Vec<Job>,
@@ -901,32 +728,29 @@ pub(crate) struct EngineState<R: ReadyStore = ShardedReadySet> {
 }
 
 impl<R: ReadyStore> EngineState<R> {
+    /// The one constructor. Derives the start time and the band
+    /// geometry from the release-sorted `arrivals`, recycles `ready` to
+    /// that geometry (a pooled arena keeps its capacity; a recycled
+    /// store is observationally identical to a fresh one), and admits
+    /// everything due at the start.
+    ///
+    /// # Errors
+    /// [`SimError::EmptyInstance`] for no arrivals;
+    /// [`SimError::InvalidAdmission`] for an `admission` that fails
+    /// [`AdmissionConfig::validate`].
     pub(crate) fn new(
         arrivals: Vec<Job>,
         plan: &FaultPlan,
         burst_jobs: usize,
         admission: Option<AdmissionConfig>,
-    ) -> Result<EngineState<R>, SimError> {
-        EngineState::new_with_store(arrivals, plan, burst_jobs, admission, R::with_bands)
-    }
-
-    /// [`EngineState::new`] with the ready store supplied by `make_ready`
-    /// (called with the derived band origin/width). This is the
-    /// allocation-pooling hook: [`EngineScratch`] passes a recycled
-    /// arena whose lanes keep their capacity across runs; the default
-    /// path passes [`ReadyStore::with_bands`]. A recycled store must be
-    /// observationally identical to a fresh one, so the choice can never
-    /// reach a digest.
-    pub(crate) fn new_with_store(
-        arrivals: Vec<Job>,
-        plan: &FaultPlan,
-        burst_jobs: usize,
-        admission: Option<AdmissionConfig>,
-        make_ready: impl FnOnce(f64, f64) -> R,
+        mut ready: R,
     ) -> Result<EngineState<R>, SimError> {
         let n = arrivals.len();
         if n == 0 {
             return Err(SimError::EmptyInstance);
+        }
+        if let Some(ac) = &admission {
+            ac.validate()?;
         }
         let events = plan.events().to_vec();
         // Start at the first arrival or the first fault, whichever is
@@ -947,6 +771,7 @@ impl<R: ReadyStore> EngineState<R> {
             1.0
         };
         let budget = 10_000 * (n + events.len() + 1);
+        ready.recycle(origin, width);
         let mut engine = EngineState {
             arrivals,
             events,
@@ -958,7 +783,7 @@ impl<R: ReadyStore> EngineState<R> {
                 ..ResilienceReport::default()
             },
             next_arrival: 0,
-            ready: make_ready(origin, width),
+            ready,
             finished: 0,
             schedule: Schedule::single(),
             energy: 0.0,
@@ -1300,14 +1125,10 @@ impl<R: ReadyStore> EngineState<R> {
 
     /// Seal the run: coalesce the schedule, resolve dangling recovery
     /// latencies, build the effective instance, and count SLO misses.
-    pub(crate) fn finish(mut self) -> Result<OnlineOutcome, SimError> {
-        self.seal()
-    }
-
-    /// [`EngineState::finish`] by mutable reference: the sealed outcome
-    /// moves out (schedule, report), but the state value survives so
-    /// pooling callers can reclaim its buffers afterwards. Sealing
-    /// twice would return an empty outcome — callers seal exactly once.
+    /// The outcome moves out (schedule, report), but the state value
+    /// survives so a pooling caller can reclaim its buffers afterwards.
+    /// Sealing twice would return an empty outcome — callers seal
+    /// exactly once.
     pub(crate) fn seal(&mut self) -> Result<OnlineOutcome, SimError> {
         self.schedule.coalesce(1e-9);
 
@@ -1454,41 +1275,114 @@ mod tests {
             capacity: 2,
             shed: ShedPolicy::RejectNewest,
         };
-        // One scratch reused across differently-shaped runs, each
-        // compared to the allocating entry point at digest level.
-        let mut scratch = EngineScratch::with_capacity(4);
+        // One scratch reused across differently-shaped runs, gated and
+        // not, each compared at digest level to a run on a fresh one.
+        let mut scratch = EngineScratch::new();
         let instances = [
             paper_instance(),
             Instance::from_pairs(&[(0.0, 1.0), (0.0, 2.0), (2.5, 0.5), (3.0, 4.0)]).unwrap(),
             Instance::from_pairs(&[(1.0, 3.0)]).unwrap(),
         ];
         for inst in &instances {
-            let fresh = run_online_with_faults(inst, &model, &mut FixedSpeed(2.0), &plan).unwrap();
-            let pooled = run_online_pooled(
-                inst,
-                &model,
-                &mut FixedSpeed(2.0),
-                &plan,
-                None,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(outcome_digest(&fresh), outcome_digest(&pooled));
-            assert_eq!(fresh.energy.to_bits(), pooled.energy.to_bits());
-
-            let fresh_gated =
-                run_online_gated(inst, &model, &mut FixedSpeed(2.0), &plan, gate).unwrap();
-            let pooled_gated = run_online_pooled(
-                inst,
-                &model,
-                &mut FixedSpeed(2.0),
-                &plan,
-                Some(gate),
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(outcome_digest(&fresh_gated), outcome_digest(&pooled_gated));
+            for admission in [None, Some(gate)] {
+                let run = |scratch: &mut EngineScratch| {
+                    run_online_pooled(
+                        inst,
+                        &model,
+                        &mut FixedSpeed(2.0),
+                        &plan,
+                        admission,
+                        scratch,
+                    )
+                    .unwrap()
+                };
+                let fresh = run(&mut EngineScratch::new());
+                let pooled = run(&mut scratch);
+                assert_eq!(outcome_digest(&fresh), outcome_digest(&pooled));
+                assert_eq!(fresh.energy.to_bits(), pooled.energy.to_bits());
+            }
         }
+        // The fault-free and faulted entries are the general entry on a
+        // fresh scratch.
+        let inst = paper_instance();
+        let plain = run_online(&inst, &model, &mut FixedSpeed(2.0)).unwrap();
+        let none = FaultPlan::none();
+        let pooled = run_online_pooled(
+            &inst,
+            &model,
+            &mut FixedSpeed(2.0),
+            &none,
+            None,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(outcome_digest(&plain), outcome_digest(&pooled));
+    }
+
+    #[test]
+    fn invalid_admission_is_a_typed_error() {
+        let inst = paper_instance();
+        let plan = FaultPlan::none();
+        let bad = [
+            AdmissionConfig {
+                capacity: 0,
+                shed: ShedPolicy::EvictOldest,
+            },
+            AdmissionConfig {
+                capacity: 3,
+                shed: ShedPolicy::DeadlineAware {
+                    slo: 4.0,
+                    service_rate: f64::NAN,
+                },
+            },
+            AdmissionConfig {
+                capacity: 3,
+                shed: ShedPolicy::DeadlineAware {
+                    slo: 0.0,
+                    service_rate: 1.0,
+                },
+            },
+            AdmissionConfig {
+                capacity: 3,
+                shed: ShedPolicy::DeadlineAware {
+                    slo: f64::INFINITY,
+                    service_rate: 1.0,
+                },
+            },
+        ];
+        let mut scratch = EngineScratch::new();
+        for ac in bad {
+            let err = run_online_pooled(
+                &inst,
+                &PolyPower::CUBE,
+                &mut FixedSpeed(1.0),
+                &plan,
+                Some(ac),
+                &mut scratch,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidAdmission { .. }),
+                "{ac:?} gave {err}"
+            );
+            assert_eq!(ac.validate(), Err(err));
+        }
+        // The scratch survives a rejected run, and the smallest valid
+        // queue holds its bound.
+        let one = AdmissionConfig {
+            capacity: 1,
+            shed: ShedPolicy::EvictOldest,
+        };
+        assert_eq!(one.validate(), Ok(()));
+        run_online_pooled(
+            &inst,
+            &PolyPower::CUBE,
+            &mut FixedSpeed(1.0),
+            &plan,
+            Some(one),
+            &mut scratch,
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1604,8 +1498,8 @@ mod tests {
     #[test]
     fn empty_arrivals_are_a_typed_error() {
         let plan = FaultPlan::none();
-        let err = run_engine(&[], &PolyPower::CUBE, &mut FixedSpeed(1.0), &plan, 0).unwrap_err();
-        assert_eq!(err, SimError::EmptyInstance);
+        let engine = EngineState::new(Vec::new(), &plan, 0, None, ShardedReadySet::default());
+        assert_eq!(engine.err(), Some(SimError::EmptyInstance));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!
 //! [`run_online_with_faults`]: crate::online::run_online_with_faults
 
+use crate::arena::ShardedReadySet;
 use crate::faults::{FaultNotice, FaultPlan};
 use crate::journal::{
     read_records, scenario_digest, DecisionRecord, Journal, JournalError, Record, Snapshot,
@@ -136,13 +137,14 @@ pub struct Server<'a, M> {
 }
 
 impl<'a, M: pas_power::PowerModel> Server<'a, M> {
-    /// Start a fresh serving run: materialize the arrival stream, write
-    /// the journal header, and stand up the engine.
+    /// Start a fresh serving run: materialize the arrival stream, stand
+    /// up the engine, and write the journal header.
     ///
     /// # Errors
     /// [`SimError::EmptyInstance`] for an empty scenario;
-    /// [`SimError::Solver`] wrapping a [`JournalError`] if the header
-    /// cannot be written.
+    /// [`SimError::InvalidAdmission`] for an admission config that fails
+    /// [`AdmissionConfig::validate`]; [`SimError::Solver`] wrapping a
+    /// [`JournalError`] if the header cannot be written.
     pub fn new(
         instance: &Instance,
         model: &'a M,
@@ -152,10 +154,17 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     ) -> Result<Server<'a, M>, SimError> {
         let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
         let digest = scenario_digest(&arrivals, plan, config.admission.as_ref());
+        // Construct first, so a rejected scenario writes no header.
+        let engine = EngineState::new(
+            arrivals,
+            plan,
+            burst_jobs,
+            config.admission,
+            ShardedReadySet::default(),
+        )?;
         journal
-            .write_header(arrivals.len(), plan.len(), digest)
+            .write_header(engine.n, plan.len(), digest)
             .map_err(SimError::solver)?;
-        let engine = EngineState::new(arrivals, plan, burst_jobs, config.admission)?;
         Ok(Server {
             model,
             config,
@@ -192,6 +201,7 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     /// the same construction the original run used.
     ///
     /// # Errors
+    /// [`SimError::InvalidAdmission`] as [`Server::new`];
     /// [`SimError::Solver`] wrapping [`JournalError::ScenarioMismatch`]
     /// if the journal belongs to a different scenario (instance, fault
     /// plan, admission config, or format version), or other
@@ -205,6 +215,11 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
         journal: Journal,
         policy: &mut dyn OnlinePolicy,
     ) -> Result<Server<'a, M>, SimError> {
+        // A snapshot base rebuilds the engine without its constructor,
+        // so the constructor's admission check is made here first.
+        if let Some(ac) = &config.admission {
+            ac.validate()?;
+        }
         let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
         let digest = scenario_digest(&arrivals, plan, config.admission.as_ref());
         let records = read_records(prior).map_err(SimError::solver)?;
@@ -252,7 +267,13 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
                 snap.breaker_open,
             ),
             None => (
-                EngineState::new(arrivals, plan, burst_jobs, config.admission)?,
+                EngineState::new(
+                    arrivals,
+                    plan,
+                    burst_jobs,
+                    config.admission,
+                    ShardedReadySet::default(),
+                )?,
                 0,
                 0,
                 false,
@@ -381,8 +402,8 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     ///
     /// # Errors
     /// [`SimError`] if the engine cannot finalize.
-    pub fn finish(self) -> Result<ServeOutcome, SimError> {
-        let outcome = self.engine.finish()?;
+    pub fn finish(mut self) -> Result<ServeOutcome, SimError> {
+        let outcome = self.engine.seal()?;
         Ok(ServeOutcome {
             outcome,
             stats: ServeStats {
@@ -657,6 +678,59 @@ mod tests {
         assert!(served.outcome.resilience.shed_jobs > 0);
         let effective = served.outcome.effective.as_ref().unwrap();
         served.outcome.schedule.validate(effective, 1e-6).unwrap();
+    }
+
+    #[test]
+    fn invalid_admission_is_rejected_by_new_and_restore() {
+        let inst = instance();
+        let plan = FaultPlan::none();
+        let bad = ServeConfig {
+            admission: Some(AdmissionConfig {
+                capacity: 0,
+                shed: ShedPolicy::EvictOldest,
+            }),
+            ..ServeConfig::default()
+        };
+        let err = match Server::new(&inst, &PolyPower::CUBE, &plan, bad, Journal::memory()) {
+            Err(e) => e,
+            Ok(_) => panic!("a zero-capacity queue must be rejected"),
+        };
+        assert!(matches!(err, SimError::InvalidAdmission { .. }), "{err}");
+
+        // Restore checks the config before it reads the journal, so a
+        // journal with a snapshot base cannot carry a bad config past it.
+        let good = ServeConfig {
+            snapshot_every: Some(1),
+            ..ServeConfig::default()
+        };
+        let mut server =
+            Server::new(&inst, &PolyPower::CUBE, &plan, good, Journal::memory()).unwrap();
+        server.run_for(&mut Greedy, 3).unwrap();
+        let prior = server.journal().contents().unwrap().to_string();
+        let nan = ServeConfig {
+            admission: Some(AdmissionConfig {
+                capacity: 4,
+                shed: ShedPolicy::DeadlineAware {
+                    slo: 2.0,
+                    service_rate: f64::NAN,
+                },
+            }),
+            ..good
+        };
+        let restored = Server::restore(
+            &inst,
+            &PolyPower::CUBE,
+            &plan,
+            nan,
+            &prior,
+            Journal::memory(),
+            &mut Greedy,
+        );
+        let err = match restored {
+            Err(e) => e,
+            Ok(_) => panic!("a NaN service rate must be rejected"),
+        };
+        assert!(matches!(err, SimError::InvalidAdmission { .. }), "{err}");
     }
 
     /// A policy that wedges (busy-waits past the budget) on its first

@@ -13,7 +13,9 @@
 //!   new qOA/BKP policies, which read the band aggregates);
 //! * seeded fault plans (crashes both semantics, cancels, throttles,
 //!   arrival bursts);
-//! * admission-gated runs (every shed policy);
+//! * admission-gated runs (every shed policy), driven through the
+//!   general entry `run_online_pooled` with one `EngineScratch` reused
+//!   across every run — the path the fleet executor takes;
 //! * crash/restore cuts through the serving layer — the v2 journal
 //!   snapshot encodes the arena (slots, free list, queue, band
 //!   ledger), and a restored server must land on the same bits as an
@@ -31,8 +33,8 @@ use power_aware_scheduling::online::{
 use power_aware_scheduling::power::PolyPower;
 use power_aware_scheduling::sim::online::{AdmissionConfig, OnlinePolicy, ShedPolicy};
 use power_aware_scheduling::sim::{
-    outcome_digest, run_online_gated, run_online_gated_reference, run_online_with_faults,
-    run_online_with_faults_reference, FaultModel, FaultPlan, Journal, ServeConfig, Server,
+    outcome_digest, run_online_pooled, run_online_reference, run_online_with_faults, EngineScratch,
+    FaultModel, FaultPlan, Journal, ServeConfig, Server,
 };
 use power_aware_scheduling::workload::{generators, strategies, Instance};
 use proptest::prelude::*;
@@ -88,7 +90,7 @@ fn assert_equivalent(instance: &Instance, plan: &FaultPlan) {
         let mut reference_policy = fresh();
         let a = run_online_with_faults(instance, &model, arena_policy.as_mut(), plan)
             .unwrap_or_else(|e| panic!("{name}: arena run failed: {e}"));
-        let b = run_online_with_faults_reference(instance, &model, reference_policy.as_mut(), plan)
+        let b = run_online_reference(instance, &model, reference_policy.as_mut(), plan, None)
             .unwrap_or_else(|e| panic!("{name}: reference run failed: {e}"));
         assert_eq!(
             outcome_digest(&a),
@@ -127,29 +129,37 @@ proptest! {
     fn arena_matches_reference_under_admission_gating(
         instance in strategies::instances(10),
         capacity in 1usize..6,
-        shed in 0u32..3,
         rate in 0f64..0.3,
         seed in 0u64..1_000,
     ) {
         let model = PolyPower::CUBE;
         let plan = sample_plan(&instance, rate, seed);
-        let admission = AdmissionConfig {
-            capacity,
-            shed: match shed {
-                0 => ShedPolicy::RejectNewest,
-                1 => ShedPolicy::EvictOldest,
-                _ => ShedPolicy::DeadlineAware { slo: 4.0, service_rate: 1.0 },
-            },
-        };
         let budget = 2.0 * instance.total_work();
-        for (name, fresh) in roster(budget) {
-            let mut pa = fresh();
-            let mut pb = fresh();
-            let a = run_online_gated(&instance, &model, pa.as_mut(), &plan, admission)
-                .unwrap_or_else(|e| panic!("{name}: gated arena run failed: {e}"));
-            let b = run_online_gated_reference(&instance, &model, pb.as_mut(), &plan, admission)
-                .unwrap_or_else(|e| panic!("{name}: gated reference run failed: {e}"));
-            prop_assert!(outcome_digest(&a) == outcome_digest(&b), "{} diverged", name);
+        // One scratch for every run of the case: each run inherits the
+        // arena and arrival buffer the previous one left behind.
+        let mut scratch = EngineScratch::new();
+        for shed in [
+            ShedPolicy::RejectNewest,
+            ShedPolicy::EvictOldest,
+            ShedPolicy::DeadlineAware { slo: 4.0, service_rate: 1.0 },
+        ] {
+            let admission = Some(AdmissionConfig { capacity, shed });
+            for (name, fresh) in roster(budget) {
+                let mut pa = fresh();
+                let mut pb = fresh();
+                let a = run_online_pooled(&instance, &model, pa.as_mut(), &plan, admission, &mut scratch)
+                    .unwrap_or_else(|e| panic!("{name}: gated arena run failed: {e}"));
+                let b = run_online_reference(&instance, &model, pb.as_mut(), &plan, admission)
+                    .unwrap_or_else(|e| panic!("{name}: gated reference run failed: {e}"));
+                prop_assert!(
+                    outcome_digest(&a) == outcome_digest(&b),
+                    "{} under {:?} diverged", name, shed
+                );
+                prop_assert!(
+                    a.energy.to_bits() == b.energy.to_bits(),
+                    "{} under {:?}: energy bits diverged", name, shed
+                );
+            }
         }
     }
 }
@@ -177,8 +187,7 @@ fn crash_restore_cuts_match_the_reference_engine() {
         // layer involved.
         let mut reference_policy = FlowReplanner::new(3.0, budget, 32);
         let want = outcome_digest(
-            &run_online_with_faults_reference(&instance, &model, &mut reference_policy, &plan)
-                .unwrap(),
+            &run_online_reference(&instance, &model, &mut reference_policy, &plan, None).unwrap(),
         );
         for cut in [1u64, 3, 7] {
             let mut policy = FlowReplanner::new(3.0, budget, 32);
