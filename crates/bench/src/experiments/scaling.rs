@@ -114,9 +114,7 @@ impl YdsScalingPoint {
     }
 }
 
-/// The E19 instance family, shared with the criterion bench
-/// (`benches/bench_deadline.rs`) so both curves always describe the
-/// same instances.
+/// The E19 instance family.
 pub fn e19_instance(n: usize) -> DeadlineInstance {
     DeadlineInstance::random(n, n as f64, (0.5, 6.0), (0.2, 3.0), 42)
 }
@@ -289,7 +287,7 @@ impl FlowScalingPoint {
 /// The E20 instance family: the E7/E8 tradeoff-curve workload (equal-work
 /// jobs, Poisson releases at rate 1.5 — contact-heavy, so segment
 /// resolution is exercised) generalized from the 3-job hardness witness
-/// to `n` jobs. Shared with `benches/bench_flow.rs`.
+/// to `n` jobs.
 pub fn e20_instance(n: usize) -> Instance {
     generators::equal_work_poisson(n, 1.5, 1.0, 42)
 }
@@ -815,8 +813,7 @@ impl OaScalingPoint {
 }
 
 /// The E22 `uniform` family: same generator shape as E19, so the two
-/// deadline-stack curves describe comparable instances. Shared with the
-/// criterion bench (`benches/bench_deadline.rs`).
+/// deadline-stack curves describe comparable instances.
 pub fn e22_uniform(n: usize) -> DeadlineInstance {
     DeadlineInstance::random(n, n as f64, (0.5, 6.0), (0.2, 3.0), 42)
 }

@@ -6,9 +6,7 @@
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! [`CsvTable`]s, registered by name in [`experiments::EXPERIMENTS`]:
 //! `exp-all` writes every table under `results/`, and
-//! `exp-all --only NAME` prints one experiment to stdout. Criterion
-//! benches (in `benches/`) cover the performance claims (IncMerge's
-//! linearity vs the DP and MoveRight baselines, etc.).
+//! `exp-all --only NAME` prints one experiment to stdout.
 //!
 //! The engine-vs-reference rewrites record their perf trajectories as
 //! the nine repo-root `BENCH_*.json` files (E13, E19–E26), listed with

@@ -162,6 +162,44 @@ pub enum HostPolicy {
 }
 
 impl HostPolicy {
+    /// Check the parameter domain the policy constructors assert:
+    /// `Fixed` needs a finite `speed > 0`; `Qoa` a finite
+    /// `allowance > 0`, `alpha > 1` and `q > 0`; `Bkp` a `factor > 0`.
+    /// NaN fails every comparison, so it is rejected too.
+    ///
+    /// # Errors
+    /// The first parameter out of range, with its value.
+    pub fn validate(&self) -> Result<(), String> {
+        let finite_positive = |v: f64| v.is_finite() && v > 0.0;
+        let params = match *self {
+            HostPolicy::Fixed { speed } => vec![(
+                "fixed speed",
+                speed,
+                finite_positive(speed),
+                "finite and > 0",
+            )],
+            HostPolicy::Qoa {
+                allowance,
+                alpha,
+                q,
+            } => vec![
+                (
+                    "qoa allowance",
+                    allowance,
+                    finite_positive(allowance),
+                    "finite and > 0",
+                ),
+                ("qoa alpha", alpha, alpha > 1.0, "> 1"),
+                ("qoa q", q, q > 0.0, "> 0"),
+            ],
+            HostPolicy::Bkp { factor } => vec![("bkp factor", factor, factor > 0.0, "> 0")],
+        };
+        match params.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((name, v, _, domain)) => Err(format!("{name} {v} must be {domain}")),
+            None => Ok(()),
+        }
+    }
+
     /// Instantiate a fresh policy instance for one engine run.
     pub fn build(&self, model: &EnginePower) -> Box<dyn OnlinePolicy> {
         match self {

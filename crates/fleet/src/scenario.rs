@@ -51,7 +51,8 @@ pub enum ScenarioError {
         /// The offending value.
         horizon: f64,
     },
-    /// A host's cap, availability, or admission queue is malformed.
+    /// A host's cap, availability, policy parameters, or admission
+    /// queue is malformed.
     BadHost {
         /// The host id.
         id: u32,
@@ -164,6 +165,9 @@ impl FleetScenario {
                     });
                 }
             }
+            h.policy
+                .validate()
+                .map_err(|reason| ScenarioError::BadHost { id: h.id, reason })?;
             if let Some(ac) = &h.admission {
                 ac.validate().map_err(|e| ScenarioError::BadHost {
                     id: h.id,
@@ -342,6 +346,51 @@ mod tests {
             }
             other => panic!("expected BadHost for host 1, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_bad_host_policy_parameters_without_panicking() {
+        use crate::host::HostPolicy;
+        for v in [f64::NAN, 0.0, -1.0] {
+            let (a, q) = (3.0, 5.0);
+            for policy in [
+                HostPolicy::Fixed { speed: v },
+                HostPolicy::Qoa {
+                    allowance: v,
+                    alpha: a,
+                    q,
+                },
+                HostPolicy::Qoa {
+                    allowance: 2.0,
+                    alpha: v,
+                    q,
+                },
+                HostPolicy::Qoa {
+                    allowance: 2.0,
+                    alpha: a,
+                    q: v,
+                },
+                HostPolicy::Bkp { factor: v },
+            ] {
+                let mut hosts = two_hosts();
+                hosts[1].policy = policy.clone();
+                let s = FleetScenario::new(hosts, workload(), 10.0, 1);
+                match s.validate() {
+                    Err(ScenarioError::BadHost { id: 1, reason }) => {
+                        assert!(reason.contains(&v.to_string()), "{reason}");
+                    }
+                    other => panic!("{policy:?}: expected BadHost for host 1, got {other:?}"),
+                }
+                assert!(crate::sim::run(&s).is_err(), "{policy:?} must not run");
+            }
+        }
+        let fine = HostPolicy::Qoa {
+            allowance: 2.0,
+            alpha: 3.0,
+            q: 5.0,
+        };
+        assert_eq!(fine.validate(), Ok(()));
+        assert_eq!(HostPolicy::Bkp { factor: 1.3 }.validate(), Ok(()));
     }
 
     #[test]

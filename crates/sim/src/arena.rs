@@ -12,12 +12,10 @@
 //! work incrementally, which is what the windowed-density policies
 //! (`Bkp` in `pas-core::online`) consume in `O(bands)` per decision.
 //!
-//! Arrivals are ingested in batches: the engine hands the whole run of
-//! due jobs to `admit_batch`, which
-//! grows every array once and then applies the per-job accumulator
-//! updates in arrival order — the floating-point operation sequence is
-//! exactly the one-at-a-time sequence, so batching changes throughput,
-//! never bits.
+//! The engine names jobs by arrival index (their position in the run's
+//! release-sorted arrival stream), so the arena resolves a job to its
+//! slot through a dense `slot_of` lane indexed by that position — no
+//! hashing anywhere on the engine's path.
 //!
 //! # Bit-identity contract
 //!
@@ -31,8 +29,7 @@
 //! crash/restore cuts.
 
 use crate::online::{PendingJob, ReadyStore, ReadyView};
-use pas_workload::Job;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Number of deadline bands the ready set is sharded into.
 pub const NUM_BANDS: usize = 8;
@@ -45,17 +42,18 @@ pub const NUM_BANDS: usize = 8;
 /// the final band. All three aggregates are running sums maintained
 /// with one addition or subtraction per engine mutation, so both
 /// ready-set implementations produce bit-identical band values by
-/// sharing this type.
+/// sharing this type. A journal snapshot persists the fields bitwise;
+/// the sums are never recomputed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BandLedger {
-    origin: f64,
-    width: f64,
+    pub(crate) origin: f64,
+    pub(crate) width: f64,
     /// Live (admitted, unfinished) jobs per band.
-    live: Vec<u64>,
+    pub(crate) live: Vec<u64>,
     /// Remaining work of the live jobs per band.
-    remaining: Vec<f64>,
+    pub(crate) remaining: Vec<f64>,
     /// Total work ever admitted per band (finished or not).
-    arrived: Vec<f64>,
+    pub(crate) arrived: Vec<f64>,
 }
 
 impl Default for BandLedger {
@@ -142,36 +140,6 @@ impl BandLedger {
     pub(crate) fn arrived(&self, band: usize) -> f64 {
         self.arrived[band]
     }
-
-    /// Snapshot parts `(origin, width, live, remaining, arrived)`; the
-    /// running sums must be persisted bitwise, never recomputed.
-    pub(crate) fn parts(&self) -> (f64, f64, &[u64], &[f64], &[f64]) {
-        (
-            self.origin,
-            self.width,
-            &self.live,
-            &self.remaining,
-            &self.arrived,
-        )
-    }
-
-    /// Rebuild from snapshot parts, bit-identical to the captured
-    /// ledger.
-    pub(crate) fn restore(
-        origin: f64,
-        width: f64,
-        live: Vec<u64>,
-        remaining: Vec<f64>,
-        arrived: Vec<f64>,
-    ) -> BandLedger {
-        BandLedger {
-            origin,
-            width,
-            live,
-            remaining,
-            arrived,
-        }
-    }
 }
 
 /// Struct-of-arrays arena behind the online engine: the data-oriented
@@ -179,8 +147,9 @@ impl BandLedger {
 ///
 /// Jobs live in parallel arrays indexed by *slot*; a slot is stable for
 /// a job's whole residency (no swap-remove compaction), vacated slots
-/// are recycled LIFO through a free list, and `slot_of` resolves ids in
-/// `O(1)`. The admission-order id queue makes
+/// are recycled LIFO through a free list, and the dense `slot_of` lane
+/// resolves an arrival index in `O(1)`. The admission-order queue of
+/// arrival indices makes
 /// [`first`](ReadyView::first) `O(1)` and gives every policy-visible
 /// iteration ([`ReadyView::for_each`]) a canonical order. Band
 /// aggregates are served by the shared `BandLedger`.
@@ -191,6 +160,8 @@ impl BandLedger {
 /// by `tests/online_equivalence.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedReadySet {
+    /// Arrival index of the job in each slot.
+    keys: Vec<u32>,
     ids: Vec<u32>,
     releases: Vec<f64>,
     works: Vec<f64>,
@@ -199,9 +170,12 @@ pub struct ShardedReadySet {
     /// values — they are unreachable (not in `slot_of`, skipped by the
     /// queue) and fully overwritten on reuse.
     free: Vec<usize>,
-    slot_of: HashMap<u32, usize>,
-    /// Ids in admission order; the front is always live (pruned on
-    /// removal), stale interior ids are skipped during iteration.
+    /// Arrival index → slot, `VACANT` for a job that is not ready;
+    /// grows to the largest index admitted.
+    slot_of: Vec<u32>,
+    /// Arrival indices in admission order; the front is always live
+    /// (pruned on removal), stale interior entries are skipped during
+    /// iteration.
     queue: VecDeque<u32>,
     backlog: f64,
     seen_work: f64,
@@ -209,10 +183,14 @@ pub struct ShardedReadySet {
     bands: BandLedger,
 }
 
+/// `slot_of` marker for an arrival index with no ready job.
+const VACANT: u32 = u32::MAX;
+
 impl ShardedReadySet {
-    fn place(&mut self, job: PendingJob) -> usize {
+    fn place(&mut self, key: usize, job: PendingJob) -> usize {
         match self.free.pop() {
             Some(slot) => {
+                self.keys[slot] = key as u32;
                 self.ids[slot] = job.id;
                 self.releases[slot] = job.release;
                 self.works[slot] = job.work;
@@ -221,12 +199,20 @@ impl ShardedReadySet {
             }
             None => {
                 let slot = self.ids.len();
+                self.keys.push(key as u32);
                 self.ids.push(job.id);
                 self.releases.push(job.release);
                 self.works.push(job.work);
                 self.remainings.push(job.remaining);
                 slot
             }
+        }
+    }
+
+    fn slot_at(&self, key: usize) -> Option<usize> {
+        match self.slot_of.get(key) {
+            Some(&slot) if slot != VACANT => Some(slot as usize),
+            _ => None,
         }
     }
 
@@ -241,9 +227,10 @@ impl ShardedReadySet {
 
     /// Snapshot parts for the journal codec: `(slot_count, live slots
     /// as (slot, job) in slot order, free list in pop order last-first,
-    /// queue, backlog, seen_work, first_arrival)`. Stale cell contents
-    /// are *not* captured — they are unobservable — but the free-list
-    /// order is, because it decides which slot the next admit reuses.
+    /// queue of arrival indices, backlog, seen_work, first_arrival)`.
+    /// Stale cell contents are *not* captured — they are unobservable —
+    /// but the free-list order is, because it decides which slot the
+    /// next admit reuses.
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot_parts(
         &self,
@@ -256,9 +243,9 @@ impl ShardedReadySet {
         f64,
         Option<f64>,
     ) {
-        let mut live: Vec<(usize, PendingJob)> = Vec::with_capacity(self.slot_of.len());
+        let mut live: Vec<(usize, PendingJob)> = Vec::with_capacity(self.len());
         for slot in 0..self.ids.len() {
-            if self.slot_of.get(&self.ids[slot]) == Some(&slot) {
+            if self.slot_at(self.keys[slot] as usize) == Some(slot) {
                 live.push((slot, self.job_at(slot)));
             }
         }
@@ -279,12 +266,13 @@ impl ShardedReadySet {
 
     /// Rebuild an arena from snapshot parts, bit-identical to the
     /// captured one: same slots, same free-list order, same queue, same
-    /// accumulator and ledger bits (`slot_of` is derived; vacant cells
-    /// are zeroed, which is unobservable).
+    /// accumulator and ledger bits. Each live slot comes with its job's
+    /// arrival index (`slot_of` is derived from them; vacant cells are
+    /// zeroed, which is unobservable).
     #[allow(clippy::too_many_arguments)] // snapshot parts arrive as one flat record
     pub(crate) fn restore(
         slot_count: usize,
-        live: Vec<(usize, PendingJob)>,
+        live: Vec<(usize, usize, PendingJob)>,
         free: Vec<usize>,
         queue: VecDeque<u32>,
         backlog: f64,
@@ -292,25 +280,28 @@ impl ShardedReadySet {
         first_arrival: Option<f64>,
         bands: BandLedger,
     ) -> ShardedReadySet {
+        let lane = queue.iter().max().map_or(0, |&k| k as usize + 1);
         let mut set = ShardedReadySet {
+            keys: vec![0; slot_count],
             ids: vec![0; slot_count],
             releases: vec![0.0; slot_count],
             works: vec![0.0; slot_count],
             remainings: vec![0.0; slot_count],
             free,
-            slot_of: HashMap::with_capacity(live.len()),
+            slot_of: vec![VACANT; lane],
             queue,
             backlog,
             seen_work,
             first_arrival,
             bands,
         };
-        for (slot, job) in live {
+        for (slot, key, job) in live {
+            set.keys[slot] = key as u32;
             set.ids[slot] = job.id;
             set.releases[slot] = job.release;
             set.works[slot] = job.work;
             set.remainings[slot] = job.remaining;
-            set.slot_of.insert(job.id, slot);
+            set.slot_of[key] = slot as u32;
         }
         set
     }
@@ -318,16 +309,11 @@ impl ShardedReadySet {
 
 impl ReadyView for ShardedReadySet {
     fn len(&self) -> usize {
-        self.slot_of.len()
+        self.ids.len() - self.free.len()
     }
 
     fn first(&self) -> Option<PendingJob> {
-        let &id = self.queue.front()?;
-        self.get(id)
-    }
-
-    fn get(&self, id: u32) -> Option<PendingJob> {
-        self.slot_of.get(&id).map(|&s| self.job_at(s))
+        Some(self.job_at(self.slot_at(self.oldest()?)?))
     }
 
     fn backlog(&self) -> f64 {
@@ -343,8 +329,8 @@ impl ReadyView for ShardedReadySet {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&PendingJob)) {
-        for id in &self.queue {
-            if let Some(&slot) = self.slot_of.get(id) {
+        for &key in &self.queue {
+            if let Some(slot) = self.slot_at(key as usize) {
                 f(&self.job_at(slot));
             }
         }
@@ -376,10 +362,11 @@ impl ReadyView for ShardedReadySet {
 }
 
 impl ReadyStore for ShardedReadySet {
-    /// Clears in place: lane vectors, free list, id map, and queue all
-    /// keep their capacity, which is what lets the fleet executor's
+    /// Clears in place: lane vectors, free list, `slot_of`, and queue
+    /// all keep their capacity, which is what lets the fleet executor's
     /// worker-local scratch reuse one arena across hosts.
     fn recycle(&mut self, origin: f64, width: f64) {
+        self.keys.clear();
         self.ids.clear();
         self.releases.clear();
         self.works.clear();
@@ -393,47 +380,29 @@ impl ReadyStore for ShardedReadySet {
         self.bands.reset(origin, width);
     }
 
-    fn admit(&mut self, job: PendingJob) {
+    fn admit(&mut self, key: usize, job: PendingJob) {
         self.seen_work += job.work;
         self.first_arrival.get_or_insert(job.release);
         self.backlog += job.remaining;
         self.bands.on_admit(&job);
-        let slot = self.place(job);
-        self.slot_of.insert(job.id, slot);
-        self.queue.push_back(job.id);
-    }
-
-    fn admit_batch(&mut self, jobs: &[Job]) {
-        // Grow every array once; the per-job updates then run in
-        // arrival order with exactly the one-at-a-time operation
-        // sequence (bit-identity over throughput).
-        let fresh = jobs.len().saturating_sub(self.free.len());
-        self.ids.reserve(fresh);
-        self.releases.reserve(fresh);
-        self.works.reserve(fresh);
-        self.remainings.reserve(fresh);
-        self.slot_of.reserve(jobs.len());
-        self.queue.reserve(jobs.len());
-        for j in jobs {
-            self.admit(PendingJob {
-                id: j.id,
-                release: j.release,
-                work: j.work,
-                remaining: j.work,
-            });
+        let slot = self.place(key, job);
+        if key >= self.slot_of.len() {
+            self.slot_of.resize(key + 1, VACANT);
         }
+        self.slot_of[key] = slot as u32;
+        self.queue.push_back(key as u32);
     }
 
-    fn slot(&self, id: u32) -> Option<usize> {
-        self.slot_of.get(&id).copied()
+    fn oldest(&self) -> Option<usize> {
+        self.queue.front().map(|&key| key as usize)
+    }
+
+    fn slot(&self, key: usize) -> Option<usize> {
+        self.slot_at(key)
     }
 
     fn remaining_at(&self, slot: usize) -> f64 {
         self.remainings[slot]
-    }
-
-    fn work_at(&self, slot: usize) -> f64 {
-        self.works[slot]
     }
 
     fn execute(&mut self, slot: usize, executed: f64) {
@@ -446,25 +415,24 @@ impl ReadyStore for ShardedReadySet {
         let job = self.job_at(slot);
         self.backlog -= job.remaining;
         self.bands.on_remove(&job);
-        self.slot_of.remove(&job.id);
+        self.slot_of[self.keys[slot] as usize] = VACANT;
         self.free.push(slot);
         // Keep the queue front live so `first` stays O(1).
-        while let Some(front) = self.queue.front() {
-            if self.slot_of.contains_key(front) {
+        while let Some(&front) = self.queue.front() {
+            if self.slot_of[front as usize] != VACANT {
                 break;
             }
             self.queue.pop_front();
         }
     }
 
-    fn reset_progress(&mut self) -> f64 {
+    fn reset_progress(&mut self, on_reset: &mut dyn FnMut(usize)) -> f64 {
         // Canonical admission order: both implementations sum the
         // erased progress over the queue, so the running total sees the
         // same additions in the same order.
         let mut erased = 0.0;
-        for i in 0..self.queue.len() {
-            let id = self.queue[i];
-            let Some(&slot) = self.slot_of.get(&id) else {
+        for &key in &self.queue {
+            let Some(slot) = self.slot_at(key as usize) else {
                 continue;
             };
             let done = self.works[slot] - self.remainings[slot];
@@ -472,14 +440,15 @@ impl ReadyStore for ShardedReadySet {
                 erased += done;
                 self.remainings[slot] = self.works[slot];
                 self.bands.on_reset(self.releases[slot], done);
+                on_reset(key as usize);
             }
         }
         self.backlog += erased;
         erased
     }
 
-    fn cancel(&mut self, id: u32) -> Option<PendingJob> {
-        let &slot = self.slot_of.get(&id)?;
+    fn cancel(&mut self, key: usize) -> Option<PendingJob> {
+        let slot = self.slot_at(key)?;
         let job = self.job_at(slot);
         self.remove(slot);
         Some(job)
@@ -508,26 +477,26 @@ mod tests {
     #[test]
     fn slots_are_stable_and_recycled() {
         let mut set = arena(0.0, 1.0);
-        set.admit(pj(0, 0.0, 2.0));
-        set.admit(pj(1, 1.0, 3.0));
-        set.admit(pj(2, 2.0, 4.0));
+        set.admit(0, pj(0, 0.0, 2.0));
+        set.admit(1, pj(1, 1.0, 3.0));
+        set.admit(2, pj(2, 2.0, 4.0));
         let s1 = set.slot(1).unwrap();
         // Removing the middle job must not move anyone else.
         set.remove(s1);
         assert_eq!(set.slot(0), Some(0));
         assert_eq!(set.slot(2), Some(2));
         // The vacated slot is reused by the next admit.
-        set.admit(pj(3, 3.0, 1.0));
+        set.admit(3, pj(3, 3.0, 1.0));
         assert_eq!(set.slot(3), Some(s1));
         assert_eq!(set.len(), 3);
-        assert_eq!(set.get(3).unwrap().work, 1.0);
+        assert_eq!(set.remaining_at(s1), 1.0);
     }
 
     #[test]
     fn iteration_is_admission_order_and_skips_dead_ids() {
         let mut set = arena(0.0, 1.0);
         for id in 0..5 {
-            set.admit(pj(id, id as f64, 1.0));
+            set.admit(id as usize, pj(id, id as f64, 1.0));
         }
         set.cancel(2).unwrap();
         set.cancel(0).unwrap();
@@ -540,9 +509,9 @@ mod tests {
     #[test]
     fn band_ledger_tracks_admit_execute_remove_reset() {
         let mut set = arena(0.0, 2.0);
-        set.admit(pj(0, 0.5, 4.0)); // band 0
-        set.admit(pj(1, 5.0, 2.0)); // band 2
-        set.admit(pj(2, 100.0, 1.0)); // clamps into band 7
+        set.admit(0, pj(0, 0.5, 4.0)); // band 0
+        set.admit(1, pj(1, 5.0, 2.0)); // band 2
+        set.admit(2, pj(2, 100.0, 1.0)); // clamps into band 7
         assert_eq!(set.band_live(0), 1);
         assert_eq!(set.band_live(2), 1);
         assert_eq!(set.band_live(7), 1);
@@ -552,7 +521,9 @@ mod tests {
         set.execute(s0, 1.5);
         assert_eq!(set.band_remaining(0), 2.5);
         // Reset puts the executed work back.
-        let erased = set.reset_progress();
+        let mut reset = Vec::new();
+        let erased = set.reset_progress(&mut |key| reset.push(key));
+        assert_eq!(reset, vec![0]);
         assert_eq!(erased, 1.5);
         assert_eq!(set.band_remaining(0), 4.0);
 
@@ -566,7 +537,7 @@ mod tests {
     fn recycled_arena_is_indistinguishable_from_fresh() {
         let mut used = arena(0.0, 1.0);
         for id in 0..6 {
-            used.admit(pj(id, 0.4 * id as f64, 1.0 + id as f64));
+            used.admit(id as usize, pj(id, 0.4 * id as f64, 1.0 + id as f64));
         }
         let s = used.slot(2).unwrap();
         used.execute(s, 0.5);
@@ -581,8 +552,8 @@ mod tests {
         // Drive both through the same post-recycle history and compare
         // every observable.
         for set in [&mut used, &mut fresh] {
-            set.admit(pj(10, 3.5, 2.0));
-            set.admit(pj(11, 6.0, 1.0));
+            set.admit(10, pj(10, 3.5, 2.0));
+            set.admit(11, pj(11, 6.0, 1.0));
             let s = set.slot(10).unwrap();
             set.execute(s, 0.25);
         }
@@ -603,7 +574,7 @@ mod tests {
     fn snapshot_round_trips_bitwise() {
         let mut set = arena(0.0, 1.0);
         for id in 0..4 {
-            set.admit(pj(id, 0.3 * id as f64, 1.0 + id as f64));
+            set.admit(id as usize, pj(id, 0.3 * id as f64, 1.0 + id as f64));
         }
         let s = set.slot(1).unwrap();
         set.execute(s, 0.7);
@@ -613,7 +584,9 @@ mod tests {
         let (count, live, free, queue, backlog, seen, first) = set.snapshot_parts();
         let restored = ShardedReadySet::restore(
             count,
-            live,
+            live.into_iter()
+                .map(|(s, j)| (s, j.id as usize, j))
+                .collect(),
             free.to_vec(),
             queue.clone(),
             backlog,
@@ -629,8 +602,8 @@ mod tests {
         // the same slot in both.
         let mut a = set.clone();
         let mut b = restored;
-        a.admit(pj(9, 4.0, 2.0));
-        b.admit(pj(9, 4.0, 2.0));
+        a.admit(9, pj(9, 4.0, 2.0));
+        b.admit(9, pj(9, 4.0, 2.0));
         assert_eq!(a.slot(9), b.slot(9));
         let mut ja = Vec::new();
         let mut jb = Vec::new();

@@ -45,13 +45,15 @@
 use crate::arena::{BandLedger, ShardedReadySet};
 use crate::faults::{FaultKind, FaultPlan, ResilienceReport};
 use crate::fnv::Fnv;
-use crate::online::{AdmissionConfig, Decision, EngineState, OnlineOutcome, PendingJob};
+use crate::online::{
+    AdmissionConfig, Decision, EngineState, IdIndex, JobEntry, JobState, OnlineOutcome, PendingJob,
+};
 use crate::schedule::Schedule;
 use crate::slice::Slice;
 use pas_workload::io::{f64_from_hex, f64_to_hex};
 use pas_workload::Job;
 use serde::Value;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -138,6 +140,32 @@ fn obj_field<'v>(entries: &'v [(String, Value)], name: &str) -> Result<&'v Value
         .find(|(k, _)| k == name)
         .map(|(_, v)| v)
         .ok_or_else(|| format!("missing field `{name}`"))
+}
+
+/// A JSON array of `xs`, each element encoded by `f`.
+fn arr<T>(xs: &[T], f: impl Fn(&T) -> Value) -> Value {
+    Value::Arr(xs.iter().map(f).collect())
+}
+
+/// The array field `name` of `entries`, each element decoded by `f`.
+fn list<T>(
+    entries: &[(String, Value)],
+    name: &str,
+    f: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    obj_field(entries, name)?
+        .as_arr()
+        .ok_or_else(|| format!("`{name}` is not an array"))?
+        .iter()
+        .map(f)
+        .collect()
+}
+
+/// `v` as an array of exactly `N` elements.
+fn row<const N: usize>(v: &Value) -> Result<&[Value; N], String> {
+    v.as_arr()
+        .and_then(|xs| xs.try_into().ok())
+        .ok_or_else(|| format!("expected an array of {N} elements"))
 }
 
 // ---------------------------------------------------------------------
@@ -354,9 +382,11 @@ pub(crate) struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture the engine plus serving-layer cursors. Hash sets and
-    /// maps are emitted in sorted order so equal states produce equal
-    /// snapshots.
+    /// Capture the engine plus serving-layer cursors. The per-job
+    /// lists (metered energy, cancellations, sheds) are read off the
+    /// engine's table and emitted sorted by id, and the ready queue's
+    /// arrival indices are written as ids, so the snapshot names jobs
+    /// the way the journal's readers do.
     pub(crate) fn capture(
         engine: &EngineState,
         seq: u64,
@@ -364,18 +394,30 @@ impl Snapshot {
         breaker_open: bool,
         policy_state: Option<Vec<f64>>,
     ) -> Snapshot {
-        let sorted = |set: &HashSet<u32>| {
-            let mut v: Vec<u32> = set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let mut energy_by_job: Vec<(u32, f64)> =
-            engine.energy_by_job.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut energy_by_job: Vec<(u32, f64)> = Vec::new();
+        let (mut cancelled_pre, mut cancelled_all, mut shed) = (Vec::new(), Vec::new(), Vec::new());
+        for (j, e) in engine.arrivals.iter().zip(&engine.table) {
+            if let Some(energy) = e.energy {
+                energy_by_job.push((j.id, energy));
+            }
+            match e.state {
+                JobState::Cancelled { admitted } => {
+                    if !admitted {
+                        cancelled_pre.push(j.id);
+                    }
+                    cancelled_all.push(j.id);
+                }
+                JobState::Shed => shed.push(j.id),
+                _ => {}
+            }
+        }
         energy_by_job.sort_unstable_by_key(|&(id, _)| id);
+        for ids in [&mut cancelled_pre, &mut cancelled_all, &mut shed] {
+            ids.sort_unstable();
+        }
         let (slot_count, live, free, queue, backlog, seen_work, first_arrival) =
             engine.ready.snapshot_parts();
-        let (band_origin, band_width, band_live, band_remaining, band_arrived) =
-            engine.ready.bands().parts();
+        let bands = engine.ready.bands();
         Snapshot {
             next_arrival: engine.next_arrival as u64,
             finished: engine.finished as u64,
@@ -392,19 +434,22 @@ impl Snapshot {
             ready_slot_count: slot_count as u64,
             ready_slots: live.into_iter().map(|(s, j)| (s as u64, j)).collect(),
             ready_free: free.iter().map(|&s| s as u64).collect(),
-            ready_queue: queue.iter().copied().collect(),
+            ready_queue: queue
+                .iter()
+                .map(|&k| engine.arrivals[k as usize].id)
+                .collect(),
             ready_backlog: backlog,
             ready_seen_work: seen_work,
             ready_first_arrival: first_arrival,
-            band_origin,
-            band_width,
-            band_live: band_live.to_vec(),
-            band_remaining: band_remaining.to_vec(),
-            band_arrived: band_arrived.to_vec(),
+            band_origin: bands.origin,
+            band_width: bands.width,
+            band_live: bands.live.clone(),
+            band_remaining: bands.remaining.clone(),
+            band_arrived: bands.arrived.clone(),
             energy_by_job,
-            cancelled_pre: sorted(&engine.cancelled_pre),
-            cancelled_all: sorted(&engine.cancelled_all),
-            shed: sorted(&engine.shed),
+            cancelled_pre,
+            cancelled_all,
+            shed,
             slices: engine.schedule.machine(0).to_vec(),
             report: engine.report.clone(),
             seq,
@@ -416,54 +461,85 @@ impl Snapshot {
 
     /// Rebuild the engine exactly as captured. `arrivals`, `plan`, and
     /// `admission` are the (re-materialized) immutable inputs.
+    ///
+    /// # Errors
+    /// [`JournalError::ScenarioMismatch`] when the snapshot names a job
+    /// id that `arrivals` does not hold.
     pub(crate) fn restore_engine(
         &self,
         arrivals: Vec<Job>,
         plan: &FaultPlan,
         admission: Option<AdmissionConfig>,
-    ) -> EngineState {
+    ) -> Result<EngineState, JournalError> {
+        let ids = IdIndex::new(&arrivals);
+        let index = |id: u32| {
+            ids.get(id).ok_or_else(|| JournalError::ScenarioMismatch {
+                message: format!("snapshot names unknown job {id}"),
+            })
+        };
+        // Arrived jobs that are neither ready, cancelled nor shed have
+        // completed; the rest are still pending.
+        let next_arrival = self.next_arrival as usize;
+        let mut table = vec![JobEntry::default(); arrivals.len()];
+        for e in table.iter_mut().take(next_arrival) {
+            e.state = JobState::Completed;
+        }
+        let mut live = Vec::with_capacity(self.ready_slots.len());
+        for &(slot, job) in &self.ready_slots {
+            let i = index(job.id)?;
+            table[i].state = JobState::Live;
+            live.push((slot as usize, i, job));
+        }
+        for (list, state) in [
+            (&self.cancelled_all, JobState::Cancelled { admitted: true }),
+            (&self.cancelled_pre, JobState::Cancelled { admitted: false }),
+            (&self.shed, JobState::Shed),
+        ] {
+            for &id in list {
+                table[index(id)?].state = state;
+            }
+        }
+        for &(id, energy) in &self.energy_by_job {
+            table[index(id)?].energy = Some(energy);
+        }
+        let queue = self
+            .ready_queue
+            .iter()
+            .map(|&id| index(id).map(|i| i as u32))
+            .collect::<Result<VecDeque<u32>, JournalError>>()?;
         let mut schedule = Schedule::single();
         for s in &self.slices {
             schedule.push(0, *s);
         }
-        EngineState {
+        Ok(EngineState {
             n: arrivals.len(),
+            ids,
+            table,
             arrivals,
             events: plan.events().to_vec(),
             slo: plan.slo(),
             admission,
             report: self.report.clone(),
-            next_arrival: self.next_arrival as usize,
+            next_arrival,
             ready: ShardedReadySet::restore(
                 self.ready_slot_count as usize,
-                self.ready_slots
-                    .iter()
-                    .map(|&(s, j)| (s as usize, j))
-                    .collect(),
+                live,
                 self.ready_free.iter().map(|&s| s as usize).collect(),
-                self.ready_queue.iter().copied().collect::<VecDeque<u32>>(),
+                queue,
                 self.ready_backlog,
                 self.ready_seen_work,
                 self.ready_first_arrival,
-                BandLedger::restore(
-                    self.band_origin,
-                    self.band_width,
-                    self.band_live.clone(),
-                    self.band_remaining.clone(),
-                    self.band_arrived.clone(),
-                ),
+                BandLedger {
+                    origin: self.band_origin,
+                    width: self.band_width,
+                    live: self.band_live.clone(),
+                    remaining: self.band_remaining.clone(),
+                    arrived: self.band_arrived.clone(),
+                },
             ),
             finished: self.finished as usize,
             schedule,
             energy: self.energy,
-            energy_by_job: self
-                .energy_by_job
-                .iter()
-                .copied()
-                .collect::<HashMap<_, _>>(),
-            cancelled_pre: self.cancelled_pre.iter().copied().collect(),
-            cancelled_all: self.cancelled_all.iter().copied().collect(),
-            shed: self.shed.iter().copied().collect(),
             i_fault: self.i_fault as usize,
             in_downtime: self.in_downtime,
             down_until: self.down_until,
@@ -473,60 +549,38 @@ impl Snapshot {
             throttles: self.throttles.clone(),
             now: self.now,
             budget: self.budget as usize,
-        }
+        })
     }
 
     fn to_value(&self) -> Value {
-        let pairs = |xs: &[(f64, f64)]| {
-            Value::Arr(
-                xs.iter()
-                    .map(|&(a, b)| Value::Arr(vec![fb(a), fb(b)]))
-                    .collect(),
-            )
-        };
-        let ids = |xs: &[u32]| Value::Arr(xs.iter().map(|&x| Value::Num(f64::from(x))).collect());
+        let num = |x: u64| Value::Num(x as f64);
+        let id = |&x: &u32| Value::Num(f64::from(x));
+        let pair = |&(a, b): &(f64, f64)| Value::Arr(vec![fb(a), fb(b)]);
+        let flt = |&x: &f64| fb(x);
         let r = &self.report;
         Value::Obj(vec![
-            ("na".into(), Value::Num(self.next_arrival as f64)),
-            ("fin".into(), Value::Num(self.finished as f64)),
-            ("if".into(), Value::Num(self.i_fault as f64)),
-            ("bud".into(), Value::Num(self.budget as f64)),
+            ("na".into(), num(self.next_arrival)),
+            ("fin".into(), num(self.finished)),
+            ("if".into(), num(self.i_fault)),
+            ("bud".into(), num(self.budget)),
             ("dn".into(), Value::Bool(self.in_downtime)),
             ("now".into(), fb(self.now)),
             ("en".into(), fb(self.energy)),
             ("du".into(), fb(self.down_until)),
             ("ds".into(), fb(self.down_since)),
             ("ed".into(), fb(self.erased_this_down)),
-            ("pr".into(), pairs(&self.pending_recoveries)),
-            ("th".into(), pairs(&self.throttles)),
-            ("rc".into(), Value::Num(self.ready_slot_count as f64)),
+            ("pr".into(), arr(&self.pending_recoveries, pair)),
+            ("th".into(), arr(&self.throttles, pair)),
+            ("rc".into(), num(self.ready_slot_count)),
             (
                 "rj".into(),
-                Value::Arr(
-                    self.ready_slots
-                        .iter()
-                        .map(|&(slot, p)| {
-                            Value::Arr(vec![
-                                Value::Num(slot as f64),
-                                Value::Num(f64::from(p.id)),
-                                fb(p.release),
-                                fb(p.work),
-                                fb(p.remaining),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.ready_slots, |&(slot, p)| {
+                    let fields = [fb(p.release), fb(p.work), fb(p.remaining)];
+                    Value::Arr([num(slot), id(&p.id)].into_iter().chain(fields).collect())
+                }),
             ),
-            (
-                "fl".into(),
-                Value::Arr(
-                    self.ready_free
-                        .iter()
-                        .map(|&s| Value::Num(s as f64))
-                        .collect(),
-                ),
-            ),
-            ("rq".into(), ids(&self.ready_queue)),
+            ("fl".into(), arr(&self.ready_free, |&s| num(s))),
+            ("rq".into(), arr(&self.ready_queue, id)),
             ("rb".into(), fb(self.ready_backlog)),
             ("rs".into(), fb(self.ready_seen_work)),
             (
@@ -535,208 +589,86 @@ impl Snapshot {
             ),
             ("bdo".into(), fb(self.band_origin)),
             ("bdw".into(), fb(self.band_width)),
-            (
-                "bdl".into(),
-                Value::Arr(
-                    self.band_live
-                        .iter()
-                        .map(|&c| Value::Num(c as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "bdr".into(),
-                Value::Arr(self.band_remaining.iter().map(|&x| fb(x)).collect()),
-            ),
-            (
-                "bda".into(),
-                Value::Arr(self.band_arrived.iter().map(|&x| fb(x)).collect()),
-            ),
+            ("bdl".into(), arr(&self.band_live, |&c| num(c))),
+            ("bdr".into(), arr(&self.band_remaining, flt)),
+            ("bda".into(), arr(&self.band_arrived, flt)),
             (
                 "ej".into(),
-                Value::Arr(
-                    self.energy_by_job
-                        .iter()
-                        .map(|&(id, e)| Value::Arr(vec![Value::Num(f64::from(id)), fb(e)]))
-                        .collect(),
-                ),
+                arr(&self.energy_by_job, |&(j, e)| {
+                    Value::Arr(vec![id(&j), fb(e)])
+                }),
             ),
-            ("cp".into(), ids(&self.cancelled_pre)),
-            ("ca".into(), ids(&self.cancelled_all)),
-            ("sh".into(), ids(&self.shed)),
+            ("cp".into(), arr(&self.cancelled_pre, id)),
+            ("ca".into(), arr(&self.cancelled_all, id)),
+            ("sh".into(), arr(&self.shed, id)),
             (
                 "sl".into(),
-                Value::Arr(
-                    self.slices
-                        .iter()
-                        .map(|s| {
-                            Value::Arr(vec![
-                                Value::Num(f64::from(s.job)),
-                                fb(s.start),
-                                fb(s.end),
-                                fb(s.speed),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.slices, |s| {
+                    Value::Arr(vec![id(&s.job), fb(s.start), fb(s.end), fb(s.speed)])
+                }),
             ),
             (
                 "rep".into(),
                 Value::Obj(vec![
-                    ("cr".into(), Value::Num(r.crashes as f64)),
+                    ("cr".into(), num(r.crashes as u64)),
                     ("dt".into(), fb(r.downtime)),
                     ("lw".into(), fb(r.lost_work)),
-                    ("cj".into(), Value::Num(r.cancelled_jobs as f64)),
+                    ("cj".into(), num(r.cancelled_jobs as u64)),
                     ("cw".into(), fb(r.cancelled_work)),
                     ("we".into(), fb(r.wasted_energy)),
-                    ("tc".into(), Value::Num(r.throttle_clamps as f64)),
-                    ("bj".into(), Value::Num(r.burst_jobs as f64)),
-                    ("sj".into(), Value::Num(r.shed_jobs as f64)),
+                    ("tc".into(), num(r.throttle_clamps as u64)),
+                    ("bj".into(), num(r.burst_jobs as u64)),
+                    ("sj".into(), num(r.shed_jobs as u64)),
                     ("sw".into(), fb(r.shed_work)),
-                    (
-                        "rl".into(),
-                        Value::Arr(r.recovery_latencies.iter().map(|&l| fb(l)).collect()),
-                    ),
+                    ("rl".into(), arr(&r.recovery_latencies, flt)),
                     (
                         "dm".into(),
-                        r.deadline_misses
-                            .map_or(Value::Null, |m| Value::Num(m as f64)),
+                        r.deadline_misses.map_or(Value::Null, |m| num(m as u64)),
                     ),
                 ]),
             ),
-            ("seq".into(), Value::Num(self.seq as f64)),
-            ("wt".into(), Value::Num(self.watchdog_trips as f64)),
+            ("seq".into(), num(self.seq)),
+            ("wt".into(), num(self.watchdog_trips)),
             ("bo".into(), Value::Bool(self.breaker_open)),
             (
                 "ps".into(),
-                match &self.policy_state {
-                    Some(xs) => Value::Arr(xs.iter().map(|&x| fb(x)).collect()),
-                    None => Value::Null,
-                },
+                self.policy_state
+                    .as_ref()
+                    .map_or(Value::Null, |xs| arr(xs, flt)),
             ),
         ])
     }
 
     fn from_value(v: &Value) -> Result<Snapshot, String> {
         let o = v.as_obj().ok_or("snapshot is not an object")?;
-        let pairs = |name: &str| -> Result<Vec<(f64, f64)>, String> {
-            obj_field(o, name)?
-                .as_arr()
-                .ok_or_else(|| format!("`{name}` is not an array"))?
-                .iter()
-                .map(|e| {
-                    let xs = e.as_arr().ok_or("pair is not an array")?;
-                    if xs.len() != 2 {
-                        return Err("pair must have two elements".to_string());
-                    }
-                    Ok((pf(&xs[0])?, pf(&xs[1])?))
-                })
-                .collect()
+        let id = |v: &Value| pu(v).map(|x| x as u32);
+        let pair = |v: &Value| {
+            let [a, b] = row(v)?;
+            Ok((pf(a)?, pf(b)?))
         };
-        let ids = |name: &str| -> Result<Vec<u32>, String> {
-            obj_field(o, name)?
-                .as_arr()
-                .ok_or_else(|| format!("`{name}` is not an array"))?
-                .iter()
-                .map(|e| Ok(pu(e)? as u32))
-                .collect()
+        let num = |name: &str| pu(obj_field(o, name)?);
+        let flt = |name: &str| pf(obj_field(o, name)?);
+        let flag = |name: &str| match obj_field(o, name)? {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("`{name}` is not a boolean")),
         };
-        let num = |name: &str| -> Result<u64, String> { pu(obj_field(o, name)?) };
-        let flt = |name: &str| -> Result<f64, String> { pf(obj_field(o, name)?) };
-        let flag = |name: &str| -> Result<bool, String> {
-            match obj_field(o, name)? {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(format!("`{name}` is not a boolean")),
-            }
-        };
-
-        let ready_slots = obj_field(o, "rj")?
-            .as_arr()
-            .ok_or("`rj` is not an array")?
-            .iter()
-            .map(|e| {
-                let xs = e.as_arr().ok_or("ready slot is not an array")?;
-                if xs.len() != 5 {
-                    return Err("ready slot must have five elements".to_string());
-                }
-                Ok((
-                    pu(&xs[0])?,
-                    PendingJob {
-                        id: pu(&xs[1])? as u32,
-                        release: pf(&xs[2])?,
-                        work: pf(&xs[3])?,
-                        remaining: pf(&xs[4])?,
-                    },
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let nums = |name: &str| -> Result<Vec<u64>, String> {
-            obj_field(o, name)?
-                .as_arr()
-                .ok_or_else(|| format!("`{name}` is not an array"))?
-                .iter()
-                .map(pu)
-                .collect()
-        };
-        let flts = |name: &str| -> Result<Vec<f64>, String> {
-            obj_field(o, name)?
-                .as_arr()
-                .ok_or_else(|| format!("`{name}` is not an array"))?
-                .iter()
-                .map(pf)
-                .collect()
-        };
-        let energy_by_job = obj_field(o, "ej")?
-            .as_arr()
-            .ok_or("`ej` is not an array")?
-            .iter()
-            .map(|e| {
-                let xs = e.as_arr().ok_or("energy entry is not an array")?;
-                if xs.len() != 2 {
-                    return Err("energy entry must have two elements".to_string());
-                }
-                Ok((pu(&xs[0])? as u32, pf(&xs[1])?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let slices = obj_field(o, "sl")?
-            .as_arr()
-            .ok_or("`sl` is not an array")?
-            .iter()
-            .map(|e| {
-                let xs = e.as_arr().ok_or("slice is not an array")?;
-                if xs.len() != 4 {
-                    return Err("slice must have four elements".to_string());
-                }
-                Ok(Slice::new(
-                    pu(&xs[0])? as u32,
-                    pf(&xs[1])?,
-                    pf(&xs[2])?,
-                    pf(&xs[3])?,
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let rep = obj_field(o, "rep")?
             .as_obj()
             .ok_or("`rep` is not an object")?;
-        let rnum = |name: &str| -> Result<u64, String> { pu(obj_field(rep, name)?) };
-        let rflt = |name: &str| -> Result<f64, String> { pf(obj_field(rep, name)?) };
+        let rnum = |name: &str| obj_field(rep, name).and_then(pu).map(|x| x as usize);
+        let rflt = |name: &str| pf(obj_field(rep, name)?);
         let report = ResilienceReport {
-            crashes: rnum("cr")? as usize,
+            crashes: rnum("cr")?,
             downtime: rflt("dt")?,
             lost_work: rflt("lw")?,
-            cancelled_jobs: rnum("cj")? as usize,
+            cancelled_jobs: rnum("cj")?,
             cancelled_work: rflt("cw")?,
             wasted_energy: rflt("we")?,
-            throttle_clamps: rnum("tc")? as usize,
-            burst_jobs: rnum("bj")? as usize,
-            shed_jobs: rnum("sj")? as usize,
+            throttle_clamps: rnum("tc")?,
+            burst_jobs: rnum("bj")?,
+            shed_jobs: rnum("sj")?,
             shed_work: rflt("sw")?,
-            recovery_latencies: obj_field(rep, "rl")?
-                .as_arr()
-                .ok_or("`rl` is not an array")?
-                .iter()
-                .map(pf)
-                .collect::<Result<Vec<_>, String>>()?,
+            recovery_latencies: list(rep, "rl", pf)?,
             deadline_misses: match obj_field(rep, "dm")? {
                 Value::Null => None,
                 v => Some(pu(v)? as usize),
@@ -753,12 +685,25 @@ impl Snapshot {
             down_until: flt("du")?,
             down_since: flt("ds")?,
             erased_this_down: flt("ed")?,
-            pending_recoveries: pairs("pr")?,
-            throttles: pairs("th")?,
+            pending_recoveries: list(o, "pr", pair)?,
+            throttles: list(o, "th", pair)?,
             ready_slot_count: num("rc")?,
-            ready_slots,
-            ready_free: nums("fl")?,
-            ready_queue: ids("rq")?,
+            ready_slots: list(o, "rj", |v| {
+                let [slot, id, release, work, remaining] = row(v)?;
+                let id = pu(id)? as u32;
+                let (release, work, remaining) = (pf(release)?, pf(work)?, pf(remaining)?);
+                Ok((
+                    pu(slot)?,
+                    PendingJob {
+                        id,
+                        release,
+                        work,
+                        remaining,
+                    },
+                ))
+            })?,
+            ready_free: list(o, "fl", pu)?,
+            ready_queue: list(o, "rq", id)?,
             ready_backlog: flt("rb")?,
             ready_seen_work: flt("rs")?,
             ready_first_arrival: match obj_field(o, "rf")? {
@@ -767,27 +712,27 @@ impl Snapshot {
             },
             band_origin: flt("bdo")?,
             band_width: flt("bdw")?,
-            band_live: nums("bdl")?,
-            band_remaining: flts("bdr")?,
-            band_arrived: flts("bda")?,
-            energy_by_job,
-            cancelled_pre: ids("cp")?,
-            cancelled_all: ids("ca")?,
-            shed: ids("sh")?,
-            slices,
+            band_live: list(o, "bdl", pu)?,
+            band_remaining: list(o, "bdr", pf)?,
+            band_arrived: list(o, "bda", pf)?,
+            energy_by_job: list(o, "ej", |v| {
+                let [j, e] = row(v)?;
+                Ok((id(j)?, pf(e)?))
+            })?,
+            cancelled_pre: list(o, "cp", id)?,
+            cancelled_all: list(o, "ca", id)?,
+            shed: list(o, "sh", id)?,
+            slices: list(o, "sl", |v| {
+                let [job, start, end, speed] = row(v)?;
+                Ok(Slice::new(id(job)?, pf(start)?, pf(end)?, pf(speed)?))
+            })?,
             report,
             seq: num("seq")?,
             watchdog_trips: num("wt")?,
             breaker_open: flag("bo")?,
             policy_state: match obj_field(o, "ps")? {
                 Value::Null => None,
-                v => Some(
-                    v.as_arr()
-                        .ok_or("`ps` is not an array")?
-                        .iter()
-                        .map(pf)
-                        .collect::<Result<Vec<_>, String>>()?,
-                ),
+                _ => Some(list(o, "ps", pf)?),
             },
         })
     }
@@ -1411,10 +1356,12 @@ mod tests {
     }
 
     /// A real journal: header, decisions of all three shapes, and
-    /// snapshots, from a small faulted serving run.
-    fn served_journal() -> String {
-        use crate::faults::FaultModel;
-        use crate::online::{OnlinePolicy, ReadyView};
+    /// snapshots, from a small faulted serving run, with its outcome
+    /// digest. `gated` serves it behind a 3-slot `EvictOldest` queue
+    /// and cancels the last job before it arrives.
+    fn served_journal_and_digest(gated: bool) -> (String, u64) {
+        use crate::faults::{FaultEvent, FaultModel};
+        use crate::online::{OnlinePolicy, ReadyView, ShedPolicy};
         use crate::serve::{ServeConfig, Server};
         use pas_workload::generators;
 
@@ -1438,16 +1385,42 @@ mod tests {
         let instance = generators::poisson(60, 0.8, (0.5, 1.5), 7);
         let horizon = instance.last_release() + instance.total_work();
         let ids: Vec<u32> = instance.jobs().iter().map(|j| j.id).collect();
-        let plan = FaultModel::uniform_mix(8.0 / horizon).sample(horizon, &ids, 7);
+        let mut plan = FaultModel::uniform_mix(8.0 / horizon).sample(horizon, &ids, 7);
+        if gated {
+            // The sampled plan cancels no job before it arrives.
+            let last = *instance.jobs().last().unwrap();
+            let mut events = plan.events().to_vec();
+            events.push(FaultEvent {
+                at: last.release / 2.0,
+                kind: FaultKind::CancelJob { job: last.id },
+            });
+            plan = FaultPlan::new(events).unwrap();
+        }
         let config = ServeConfig {
             snapshot_every: Some(16),
             watchdog: None,
+            admission: gated.then_some(AdmissionConfig {
+                capacity: 3,
+                shed: ShedPolicy::EvictOldest,
+            }),
             ..ServeConfig::default()
         };
         let model = pas_power::PolyPower::CUBE;
         let mut server = Server::new(&instance, &model, &plan, config, Journal::memory()).unwrap();
         while !server.run_for(&mut Probe, 64).unwrap() {}
-        server.journal().contents().unwrap().to_string()
+        let text = server.journal().contents().unwrap().to_string();
+        let served = server.finish().unwrap();
+        (text, outcome_digest(&served.outcome))
+    }
+
+    fn served_journal() -> String {
+        served_journal_and_digest(false).0
+    }
+
+    fn fnv_pin(text: &str) -> (usize, u64) {
+        let mut h = Fnv::new();
+        h.bytes(text.as_bytes());
+        (text.len(), h.finish())
     }
 
     #[test]
@@ -1455,9 +1428,28 @@ mod tests {
         // Recorded before the decision encoder and scanner were
         // rewritten; any change to the journal's bytes moves it.
         let text = served_journal();
-        let mut h = Fnv::new();
-        h.bytes(text.as_bytes());
-        assert_eq!((text.len(), h.finish()), (195_347, 0x8c78_95cf_4e73_b640));
+        assert_eq!(fnv_pin(&text), (195_347, 0x8c78_95cf_4e73_b640));
+    }
+
+    #[test]
+    fn gated_journal_bytes_are_pinned() {
+        // The ungated pin's snapshots all carry an empty shed list; this
+        // one exercises every per-job list a snapshot writes. Recorded
+        // before the engine's per-job bookkeeping moved into one
+        // arrival-indexed table.
+        let (text, digest) = served_journal_and_digest(true);
+        let full = read_records(&text).unwrap().into_iter().any(|r| match r {
+            Record::Snapshot(s) => {
+                !s.energy_by_job.is_empty()
+                    && !s.cancelled_pre.is_empty()
+                    && !s.cancelled_all.is_empty()
+                    && !s.shed.is_empty()
+            }
+            _ => false,
+        });
+        assert!(full, "no snapshot carries all four per-job lists");
+        assert_eq!(fnv_pin(&text), (132_244, 0x42e3_73f3_887f_9a66));
+        assert_eq!(digest, 0x4e77_998a_8b7e_2e2b);
     }
 
     #[test]

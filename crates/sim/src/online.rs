@@ -25,15 +25,17 @@
 //! Policies see the ready jobs through the [`ReadyView`] trait, which
 //! exposes the running aggregates every natural policy needs — backlog,
 //! total work seen, first arrival, per-deadline-band shard sums —
-//! maintained **incrementally**, with job ids resolved in `O(1)`. A
-//! policy whose `decide` uses only those aggregates (all of the §6
-//! policies in `pas-core::online` do) costs `O(1)` per event, so a
-//! full run is `O(n)` hash-map operations plus slice assembly — E13
-//! runs at `n` in the tens of thousands.
+//! maintained **incrementally**. A policy whose `decide` uses only
+//! those aggregates (all of the §6 policies in `pas-core::online` do)
+//! costs `O(1)` per event. The engine keeps each job's fate (state and
+//! metered energy) in one table indexed by arrival position, and the
+//! id a decision names is resolved through an id index built at
+//! construction (a dense lane when ids are compact), so a full run does
+//! no hashing — E13 runs at `n` in the tens of thousands.
 //!
 //! Two interchangeable storage engines implement the view: the
 //! data-oriented [`ShardedReadySet`] arena (struct-of-arrays slab,
-//! stable free-listed slots, batched arrival ingestion — the one every
+//! stable free-listed slots, a dense arrival-index lane — the one every
 //! entry point here runs), and the original AoS
 //! [`ReadySet`](crate::reference::ReadySet), kept in
 //! [`crate::reference`] as the oracle. There is one event loop, generic
@@ -48,11 +50,11 @@ use crate::arena::{ShardedReadySet, NUM_BANDS};
 use crate::faults::{
     CrashSemantics, FaultEvent, FaultKind, FaultNotice, FaultPlan, ResilienceReport,
 };
-use crate::metrics;
 use crate::schedule::Schedule;
 use crate::slice::Slice;
+use pas_numeric::NeumaierSum;
 use pas_workload::{Instance, Job};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A job visible to the policy: static data plus remaining work.
@@ -92,9 +94,6 @@ pub trait ReadyView {
 
     /// The earliest-admitted ready job.
     fn first(&self) -> Option<PendingJob>;
-
-    /// The ready job with this id.
-    fn get(&self, id: u32) -> Option<PendingJob>;
 
     /// Total remaining work over the ready jobs (maintained
     /// incrementally; the policies' hedging denominators).
@@ -143,6 +142,10 @@ pub trait ReadyView {
 /// operations the engine needs, with the invariant that every
 /// implementation performs the identical floating-point accumulator
 /// updates in the identical order (the bit-identity contract).
+///
+/// The engine names a job by its *arrival index* — its position in the
+/// run's release-sorted arrival stream — never by its id, so a store
+/// can resolve it with a dense lane instead of a hash map.
 pub(crate) trait ReadyStore: ReadyView {
     /// Empty the store for a fresh run whose band shards start at
     /// `origin` with `width`. A recycled store is observationally
@@ -150,32 +153,19 @@ pub(crate) trait ReadyStore: ReadyView {
     /// accumulator bits — so a pooled store can never reach a digest.
     fn recycle(&mut self, origin: f64, width: f64);
 
-    /// Admit one job (accumulators first, then placement).
-    fn admit(&mut self, job: PendingJob);
+    /// Admit the job at arrival index `key` (accumulators first, then
+    /// placement).
+    fn admit(&mut self, key: usize, job: PendingJob);
 
-    /// Admit a release-ordered batch of arrivals. The default is the
-    /// one-at-a-time loop; the arena overrides it to pre-grow its
-    /// arrays, keeping the per-job operation sequence (and therefore
-    /// the bits) identical.
-    fn admit_batch(&mut self, jobs: &[Job]) {
-        for j in jobs {
-            self.admit(PendingJob {
-                id: j.id,
-                release: j.release,
-                work: j.work,
-                remaining: j.work,
-            });
-        }
-    }
+    /// Arrival index of the earliest-admitted ready job.
+    fn oldest(&self) -> Option<usize>;
 
-    /// Resolve a job id to its storage slot.
-    fn slot(&self, id: u32) -> Option<usize>;
+    /// Resolve an arrival index to its storage slot, if the job is
+    /// ready.
+    fn slot(&self, key: usize) -> Option<usize>;
 
     /// Remaining work of the job in `slot`.
     fn remaining_at(&self, slot: usize) -> f64;
-
-    /// Total work of the job in `slot`.
-    fn work_at(&self, slot: usize) -> f64;
 
     /// Record `executed` units of progress on the job in `slot`.
     fn execute(&mut self, slot: usize, executed: f64);
@@ -186,13 +176,14 @@ pub(crate) trait ReadyStore: ReadyView {
 
     /// Erase all in-flight progress (a lose-progress crash): every
     /// partially-executed ready job's remaining resets to its full
-    /// work, summed in admission order. Returns the total erased
+    /// work, summed in admission order, and `on_reset` hears each such
+    /// job's arrival index in that order. Returns the total erased
     /// progress; the backlog grows by the same amount.
-    fn reset_progress(&mut self) -> f64;
+    fn reset_progress(&mut self, on_reset: &mut dyn FnMut(usize)) -> f64;
 
-    /// Remove a job by id (cancellation), returning its state at
-    /// removal time; `None` if the id is not ready.
-    fn cancel(&mut self, id: u32) -> Option<PendingJob>;
+    /// Remove the job at arrival index `key` (cancellation, eviction),
+    /// returning its state at removal time; `None` if it is not ready.
+    fn cancel(&mut self, key: usize) -> Option<PendingJob>;
 }
 
 /// A policy's instruction for the time starting now.
@@ -282,9 +273,11 @@ pub enum SimError {
     },
     /// Event budget exceeded (runaway checkpoint loops).
     TooManyEvents,
-    /// An [`AdmissionConfig`] outside its documented domain (see
-    /// [`AdmissionConfig::validate`]).
-    InvalidAdmission {
+    /// A configuration outside its documented domain: an
+    /// [`AdmissionConfig`] that fails [`AdmissionConfig::validate`] or a
+    /// [`WatchdogConfig`](crate::serve::WatchdogConfig) that fails its
+    /// `validate`.
+    InvalidConfig {
         /// Which field is out of range, and its value.
         reason: String,
     },
@@ -346,8 +339,8 @@ impl PartialEq for SimError {
             ) => speed == s2 && at == at2,
             (SimError::Solver { message, .. }, SimError::Solver { message: m2, .. })
             | (
-                SimError::InvalidAdmission { reason: message },
-                SimError::InvalidAdmission { reason: m2 },
+                SimError::InvalidConfig { reason: message },
+                SimError::InvalidConfig { reason: m2 },
             ) => message == m2,
             _ => false,
         }
@@ -368,9 +361,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "policy chose invalid speed {speed} at t={at}")
             }
             SimError::TooManyEvents => write!(f, "event budget exceeded"),
-            SimError::InvalidAdmission { reason } => {
-                write!(f, "invalid admission config: {reason}")
-            }
+            SimError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
             SimError::Solver { message, .. } => write!(f, "solver error: {message}"),
         }
     }
@@ -465,22 +456,12 @@ pub fn run_online_with_faults<M: pas_power::PowerModel>(
     )
 }
 
-/// Materialize the arrival stream: base jobs plus burst jobs under
-/// fresh ids, re-sorted by release. The serving layer and the reference
-/// engine use it; they must build the identical stream the pooled entry
-/// builds in place.
-pub(crate) fn materialize_arrivals(instance: &Instance, plan: &FaultPlan) -> (Vec<Job>, usize) {
-    let mut arrivals = Vec::new();
-    let burst_jobs = materialize_arrivals_into(instance, plan, &mut arrivals);
-    (arrivals, burst_jobs)
-}
-
-/// [`materialize_arrivals`] into a caller-owned buffer (cleared first),
-/// so pooling callers reuse one allocation across runs. Returns the
-/// burst-job count. The fill sequence — base jobs, then bursts in plan
-/// order, then one stable sort by release — is byte-for-byte the
-/// allocating path's.
-pub(crate) fn materialize_arrivals_into(
+/// Materialize the arrival stream into `arrivals` (cleared first, so
+/// pooling callers reuse one allocation across runs): base jobs, then
+/// burst jobs under fresh ids in plan order, then one stable sort by
+/// release. Returns the burst-job count. Every entry point and the
+/// serving layer build their stream here.
+pub(crate) fn materialize_arrivals(
     instance: &Instance,
     plan: &FaultPlan,
     arrivals: &mut Vec<Job>,
@@ -506,8 +487,8 @@ pub(crate) fn materialize_arrivals_into(
 ///
 /// Holds the two big per-run allocations — the materialized arrival
 /// buffer and the [`ShardedReadySet`] arena (whose lane vectors, free
-/// list, id map, and queue all keep their capacity) — so a caller
-/// executing many instances in sequence (the fleet executor's
+/// list, arrival-index lane, and queue all keep their capacity) — so a
+/// caller executing many instances in sequence (the fleet executor's
 /// worker-local scratch, one pool per worker thread) clears rather than
 /// reallocates between runs. A recycled arena is observationally
 /// identical to a fresh one, so reuse never moves a bit of the outcome.
@@ -537,8 +518,8 @@ impl EngineScratch {
 /// empty but usable.
 ///
 /// # Errors
-/// As [`run_online`]; [`SimError::InvalidAdmission`] for an
-/// `admission` outside its documented domain.
+/// As [`run_online`]; [`SimError::InvalidConfig`] for an `admission`
+/// outside its documented domain.
 pub fn run_online_pooled<M: pas_power::PowerModel>(
     instance: &Instance,
     model: &M,
@@ -547,7 +528,7 @@ pub fn run_online_pooled<M: pas_power::PowerModel>(
     admission: Option<AdmissionConfig>,
     scratch: &mut EngineScratch,
 ) -> Result<OnlineOutcome, SimError> {
-    let burst_jobs = materialize_arrivals_into(instance, plan, &mut scratch.arrivals);
+    let burst_jobs = materialize_arrivals(instance, plan, &mut scratch.arrivals);
     let arrivals = std::mem::take(&mut scratch.arrivals);
     let ready = std::mem::take(&mut scratch.ready);
     let mut engine = EngineState::new(arrivals, plan, burst_jobs, admission, ready)?;
@@ -621,19 +602,18 @@ impl AdmissionConfig {
     /// anyway) or never fires (a NaN prediction compares false).
     ///
     /// # Errors
-    /// [`SimError::InvalidAdmission`] naming the first field out of
-    /// range.
+    /// [`SimError::InvalidConfig`] naming the first field out of range.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.capacity == 0 {
-            return Err(SimError::InvalidAdmission {
-                reason: "capacity 0 must be at least 1".into(),
+            return Err(SimError::InvalidConfig {
+                reason: "admission capacity 0 must be at least 1".into(),
             });
         }
         if let ShedPolicy::DeadlineAware { slo, service_rate } = self.shed {
             for (name, v) in [("slo", slo), ("service_rate", service_rate)] {
                 if !(v.is_finite() && v > 0.0) {
-                    return Err(SimError::InvalidAdmission {
-                        reason: format!("{name} {v} must be finite and > 0"),
+                    return Err(SimError::InvalidConfig {
+                        reason: format!("admission {name} {v} must be finite and > 0"),
                     });
                 }
             }
@@ -642,34 +622,79 @@ impl AdmissionConfig {
     }
 }
 
-enum Gate {
-    Admit,
+/// Where one arrival stands in the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum JobState {
+    /// Not yet released to the engine.
+    #[default]
+    Pending,
+    /// Admitted and unfinished: in the ready store.
+    Live,
+    /// Run to completion.
+    Completed,
+    /// Cancelled by the fault plan; `admitted` says whether it had
+    /// entered the ready store first.
+    Cancelled {
+        /// Whether the job was admitted before it was cancelled.
+        admitted: bool,
+    },
+    /// Rejected or evicted by admission control.
     Shed,
-    EvictOldest,
 }
 
-fn gate(ac: &AdmissionConfig, job: &Job, ready: &dyn ReadyView) -> Gate {
-    let full = ready.len() >= ac.capacity;
-    match ac.shed {
-        ShedPolicy::RejectNewest => {
-            if full {
-                Gate::Shed
-            } else {
-                Gate::Admit
+/// One row of the engine's per-job table, indexed by arrival position.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct JobEntry {
+    pub(crate) state: JobState,
+    /// Energy metered since the job's last restart (`None`: nothing
+    /// metered since then). Drained on delivery; charged to
+    /// `wasted_energy` on erasure, cancellation or eviction.
+    pub(crate) energy: Option<f64>,
+    /// Work over the job's slices, summed in schedule order by `seal`.
+    executed: NeumaierSum,
+    /// End of the job's last slice, set by `seal`.
+    last_end: Option<f64>,
+}
+
+/// Job id → arrival index: the run's one id-keyed structure, built once
+/// per run and never changed. Compact ids (a span at most twice the job
+/// count, the usual case) get a dense lane over the span; sparse ones,
+/// `(id, index)` pairs sorted by id and binary-searched.
+#[derive(Debug, Clone)]
+pub(crate) enum IdIndex {
+    Dense { base: u32, index: Vec<u32> },
+    Sorted(Vec<(u32, u32)>),
+}
+
+impl IdIndex {
+    pub(crate) fn new(arrivals: &[Job]) -> IdIndex {
+        let (lo, hi) = arrivals
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), j| (lo.min(j.id), hi.max(j.id)));
+        let span = (u64::from(hi) + 1).saturating_sub(u64::from(lo));
+        if span <= 2 * arrivals.len() as u64 {
+            let mut index = vec![u32::MAX; span as usize];
+            for (i, j) in (0u32..).zip(arrivals) {
+                index[(j.id - lo) as usize] = i;
             }
+            IdIndex::Dense { base: lo, index }
+        } else {
+            let mut pairs: Vec<(u32, u32)> =
+                (0u32..).zip(arrivals).map(|(i, j)| (j.id, i)).collect();
+            pairs.sort_unstable();
+            IdIndex::Sorted(pairs)
         }
-        ShedPolicy::EvictOldest => {
-            if full {
-                Gate::EvictOldest
-            } else {
-                Gate::Admit
+    }
+
+    pub(crate) fn get(&self, id: u32) -> Option<usize> {
+        match self {
+            IdIndex::Dense { base, index } => {
+                let &i = index.get(id.checked_sub(*base)? as usize)?;
+                (i != u32::MAX).then_some(i as usize)
             }
-        }
-        ShedPolicy::DeadlineAware { slo, service_rate } => {
-            if full || (ready.backlog() + job.work) / service_rate > slo {
-                Gate::Shed
-            } else {
-                Gate::Admit
+            IdIndex::Sorted(pairs) => {
+                let at = pairs.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+                Some(pairs[at].1 as usize)
             }
         }
     }
@@ -684,6 +709,10 @@ fn gate(ac: &AdmissionConfig, job: &Job, ready: &dyn ReadyView) -> Gate {
 /// `pub(crate)` so the snapshot codec in [`crate::journal`] can capture
 /// and rebuild the state bit-for-bit.
 ///
+/// Each job's fate lives in one row of `table`, at the job's arrival
+/// index (rows past the end are pending jobs); `ids` resolves the ids
+/// that decisions and cancellations name.
+///
 /// Generic over the `ReadyStore` storage engine: the default is the
 /// [`ShardedReadySet`] arena; [`crate::reference`] instantiates the
 /// same state and loop over the retained
@@ -691,6 +720,8 @@ fn gate(ac: &AdmissionConfig, job: &Job, ready: &dyn ReadyView) -> Gate {
 /// harness.
 pub(crate) struct EngineState<R: ReadyStore = ShardedReadySet> {
     pub(crate) arrivals: Vec<Job>,
+    pub(crate) ids: IdIndex,
+    pub(crate) table: Vec<JobEntry>,
     pub(crate) events: Vec<FaultEvent>,
     pub(crate) slo: Option<f64>,
     pub(crate) admission: Option<AdmissionConfig>,
@@ -703,14 +734,6 @@ pub(crate) struct EngineState<R: ReadyStore = ShardedReadySet> {
     pub(crate) finished: usize,
     pub(crate) schedule: Schedule,
     pub(crate) energy: f64,
-    /// Per-job energy metered since the job's last restart; drained on
-    /// delivery, charged to `wasted_energy` on erasure/cancellation.
-    pub(crate) energy_by_job: HashMap<u32, f64>,
-    /// Cancelled before arrival (never admitted).
-    pub(crate) cancelled_pre: HashSet<u32>,
-    pub(crate) cancelled_all: HashSet<u32>,
-    /// Jobs rejected/evicted by admission control.
-    pub(crate) shed: HashSet<u32>,
     pub(crate) i_fault: usize,
     pub(crate) in_downtime: bool,
     pub(crate) down_until: f64,
@@ -729,14 +752,15 @@ pub(crate) struct EngineState<R: ReadyStore = ShardedReadySet> {
 
 impl<R: ReadyStore> EngineState<R> {
     /// The one constructor. Derives the start time and the band
-    /// geometry from the release-sorted `arrivals`, recycles `ready` to
-    /// that geometry (a pooled arena keeps its capacity; a recycled
-    /// store is observationally identical to a fresh one), and admits
-    /// everything due at the start.
+    /// geometry from the release-sorted `arrivals`, builds the id index
+    /// and the per-job table, recycles `ready` to that geometry (a
+    /// pooled arena keeps its capacity; a recycled store is
+    /// observationally identical to a fresh one), and admits everything
+    /// due at the start.
     ///
     /// # Errors
     /// [`SimError::EmptyInstance`] for no arrivals;
-    /// [`SimError::InvalidAdmission`] for an `admission` that fails
+    /// [`SimError::InvalidConfig`] for an `admission` that fails
     /// [`AdmissionConfig::validate`].
     pub(crate) fn new(
         arrivals: Vec<Job>,
@@ -773,6 +797,8 @@ impl<R: ReadyStore> EngineState<R> {
         let budget = 10_000 * (n + events.len() + 1);
         ready.recycle(origin, width);
         let mut engine = EngineState {
+            ids: IdIndex::new(&arrivals),
+            table: Vec::with_capacity(n),
             arrivals,
             events,
             slo: plan.slo(),
@@ -787,10 +813,6 @@ impl<R: ReadyStore> EngineState<R> {
             finished: 0,
             schedule: Schedule::single(),
             energy: 0.0,
-            energy_by_job: HashMap::new(),
-            cancelled_pre: HashSet::new(),
-            cancelled_all: HashSet::new(),
-            shed: HashSet::new(),
             i_fault: 0,
             in_downtime: false,
             down_until: f64::NEG_INFINITY,
@@ -810,74 +832,79 @@ impl<R: ReadyStore> EngineState<R> {
         self.finished >= self.n
     }
 
-    /// Admit all non-cancelled jobs released at (or before) `now`,
-    /// gated by admission control when configured. The admission
-    /// epsilon scales with `now` so same-instant floods at large
-    /// timestamps are admitted together instead of spinning.
-    ///
-    /// Without a gate or pre-cancellations in play, the whole due run
-    /// is handed to the store as one batch
-    /// ([`ReadyStore::admit_batch`]), which ingests it with the same
-    /// per-job operation sequence as the one-at-a-time path — identical
-    /// bits, one allocation.
+    /// Admit all pending jobs released at (or before) `now`, gated by
+    /// admission control when configured; a job cancelled before its
+    /// release is passed over. The admission epsilon scales with `now`
+    /// so same-instant floods at large timestamps are admitted together
+    /// instead of spinning.
     fn admit_due(&mut self) {
         let horizon = self.now + 1e-12 * self.now.abs().max(1.0);
-        if self.admission.is_none() && self.cancelled_pre.is_empty() {
-            let start = self.next_arrival;
-            let mut end = start;
-            while end < self.n && self.arrivals[end].release <= horizon {
-                end += 1;
-            }
-            if end > start {
-                self.ready.admit_batch(&self.arrivals[start..end]);
-                self.next_arrival = end;
-            }
-            return;
-        }
         while self.next_arrival < self.n && self.arrivals[self.next_arrival].release <= horizon {
-            let j = self.arrivals[self.next_arrival];
+            let i = self.next_arrival;
+            let j = self.arrivals[i];
             self.next_arrival += 1;
-            if self.cancelled_pre.contains(&j.id) {
+            if self.row(i).state != JobState::Pending {
                 continue;
             }
             if let Some(ac) = self.admission {
-                match gate(&ac, &j, &self.ready) {
-                    Gate::Admit => {}
-                    Gate::Shed => {
-                        self.shed.insert(j.id);
-                        self.report.shed_jobs += 1;
-                        self.report.shed_work += j.work;
-                        self.finished += 1;
-                        continue;
+                let full = self.ready.len() >= ac.capacity;
+                let shed = match ac.shed {
+                    ShedPolicy::RejectNewest => full,
+                    ShedPolicy::EvictOldest => false,
+                    ShedPolicy::DeadlineAware { slo, service_rate } => {
+                        full || (self.ready.backlog() + j.work) / service_rate > slo
                     }
-                    Gate::EvictOldest => {
-                        if let Some(victim) = self.ready.first().map(|p| p.id) {
-                            self.evict_ready(victim);
-                        }
+                };
+                if shed {
+                    self.table[i].state = JobState::Shed;
+                    self.report.shed_jobs += 1;
+                    self.report.shed_work += j.work;
+                    self.finished += 1;
+                    continue;
+                }
+                if full && ac.shed == ShedPolicy::EvictOldest {
+                    // The oldest ready job makes room for the arrival.
+                    let oldest = self.ready.oldest();
+                    if let Some(p) = oldest.and_then(|v| self.retire(v, JobState::Shed)) {
+                        self.report.shed_jobs += 1;
+                        self.report.shed_work += p.work;
                     }
                 }
             }
-            self.ready.admit(PendingJob {
-                id: j.id,
-                release: j.release,
-                work: j.work,
-                remaining: j.work,
-            });
+            self.ready.admit(
+                i,
+                PendingJob {
+                    id: j.id,
+                    release: j.release,
+                    work: j.work,
+                    remaining: j.work,
+                },
+            );
+            self.table[i].state = JobState::Live;
         }
     }
 
-    /// Shed an already-admitted job (EvictOldest making room): its
-    /// partial progress becomes lost work and wasted energy, exactly
-    /// like a cancellation, but accounted under the shed counters.
-    fn evict_ready(&mut self, id: u32) {
-        if let Some(p) = self.ready.cancel(id) {
-            self.shed.insert(id);
-            self.report.shed_jobs += 1;
-            self.report.shed_work += p.work;
-            self.report.lost_work += p.work - p.remaining;
-            self.report.wasted_energy += self.energy_by_job.remove(&id).unwrap_or(0.0);
-            self.finished += 1;
+    /// The table row of arrival `i`. A row is written on first touch —
+    /// the job's admission or an early cancellation — so building the
+    /// engine touches no memory per job, and a row past the end belongs
+    /// to a job still pending.
+    fn row(&mut self, i: usize) -> &mut JobEntry {
+        if i >= self.table.len() {
+            self.table.resize(i + 1, JobEntry::default());
         }
+        &mut self.table[i]
+    }
+
+    /// Take the ready job at arrival index `i` out for good as `state`
+    /// (a cancellation or an eviction): its partial progress becomes
+    /// lost work and its metered energy wasted energy.
+    fn retire(&mut self, i: usize, state: JobState) -> Option<PendingJob> {
+        let p = self.ready.cancel(i)?;
+        self.report.lost_work += p.work - p.remaining;
+        self.report.wasted_energy += self.table[i].energy.take().unwrap_or(0.0);
+        self.table[i].state = state;
+        self.finished += 1;
+        Some(p)
     }
 
     /// Advance the simulation by one event: apply due faults, expire
@@ -917,48 +944,36 @@ impl<R: ReadyStore> EngineState<R> {
                         self.down_until = self.now;
                     }
                     if semantics == CrashSemantics::LoseProgress {
-                        // Canonical admission order for the wasted-energy
-                        // sum, so both storage engines accumulate the
-                        // same additions in the same order.
-                        let mut partial: Vec<u32> = Vec::new();
-                        self.ready.for_each(&mut |p| {
-                            if p.remaining < p.work {
-                                partial.push(p.id);
-                            }
+                        // The store reports the erased jobs in admission
+                        // order, so both storage engines accumulate the
+                        // same wasted-energy additions in the same order.
+                        let (table, wasted) = (&mut self.table, &mut self.report.wasted_energy);
+                        let erased = self.ready.reset_progress(&mut |i| {
+                            *wasted += table[i].energy.take().unwrap_or(0.0);
                         });
-                        for id in partial {
-                            self.report.wasted_energy +=
-                                self.energy_by_job.remove(&id).unwrap_or(0.0);
-                        }
-                        let erased = self.ready.reset_progress();
                         self.report.lost_work += erased;
                         self.erased_this_down += erased;
                     }
                     self.down_until = self.down_until.max(self.now + duration);
                 }
                 FaultKind::CancelJob { job } => {
-                    if let Some(p) = self.ready.cancel(job) {
+                    // An unknown job, or one already completed, cancelled
+                    // or shed, is a no-op.
+                    let cancelled = self.ids.get(job).and_then(|i| match self.row(i).state {
+                        JobState::Live => self
+                            .retire(i, JobState::Cancelled { admitted: true })
+                            .map(|p| p.work),
+                        JobState::Pending => {
+                            self.table[i].state = JobState::Cancelled { admitted: false };
+                            self.finished += 1;
+                            Some(self.arrivals[i].work)
+                        }
+                        _ => None,
+                    });
+                    if let Some(work) = cancelled {
                         policy.notify(&FaultNotice::JobCancelled { at: self.now, job });
                         self.report.cancelled_jobs += 1;
-                        self.report.cancelled_work += p.work;
-                        self.report.lost_work += p.work - p.remaining;
-                        self.report.wasted_energy += self.energy_by_job.remove(&job).unwrap_or(0.0);
-                        self.cancelled_all.insert(job);
-                        self.finished += 1;
-                    } else if !self.cancelled_pre.contains(&job) {
-                        let pending = self.arrivals[self.next_arrival..]
-                            .iter()
-                            .find(|a| a.id == job)
-                            .copied();
-                        if let Some(a) = pending {
-                            policy.notify(&FaultNotice::JobCancelled { at: self.now, job });
-                            self.report.cancelled_jobs += 1;
-                            self.report.cancelled_work += a.work;
-                            self.cancelled_pre.insert(job);
-                            self.cancelled_all.insert(job);
-                            self.finished += 1;
-                        }
-                        // Unknown or already-completed job: no-op.
+                        self.report.cancelled_work += work;
                     }
                 }
                 FaultKind::Throttle { duration, cap } => {
@@ -1048,7 +1063,11 @@ impl<R: ReadyStore> EngineState<R> {
                         at: self.now,
                     });
                 }
-                let Some(slot) = self.ready.slot(job) else {
+                let Some((i, slot)) = self
+                    .ids
+                    .get(job)
+                    .and_then(|i| self.ready.slot(i).map(|slot| (i, slot)))
+                else {
                     return Err(SimError::UnknownJob { job, at: self.now });
                 };
                 // Graceful degradation: clamp to the active throttle
@@ -1102,18 +1121,19 @@ impl<R: ReadyStore> EngineState<R> {
                         .push(0, Slice::new(job, self.now, self.now + dt, speed));
                     let spent = model.power(speed) * dt;
                     self.energy += spent;
-                    *self.energy_by_job.entry(job).or_insert(0.0) += spent;
+                    *self.table[i].energy.get_or_insert(0.0) += spent;
                     // Clamp so the backlog accumulator cannot absorb a
                     // negative residual at completion.
                     let executed = (speed * dt).min(self.ready.remaining_at(slot));
                     self.ready.execute(slot, executed);
                     self.now += dt;
                 }
-                if self.ready.remaining_at(slot) <= 1e-9 * self.ready.work_at(slot) {
+                if self.ready.remaining_at(slot) <= 1e-9 * self.arrivals[i].work {
                     // Snap any residual into the final slice via coalesce
                     // tolerance; mark complete. Delivered energy is not
                     // overhead.
-                    self.energy_by_job.remove(&job);
+                    self.table[i].state = JobState::Completed;
+                    self.table[i].energy = None;
                     self.ready.remove(slot);
                     self.finished += 1;
                 }
@@ -1128,7 +1148,7 @@ impl<R: ReadyStore> EngineState<R> {
     /// The outcome moves out (schedule, report), but the state value
     /// survives so a pooling caller can reclaim its buffers afterwards.
     /// Sealing twice would return an empty outcome — callers seal
-    /// exactly once.
+    /// a finished run exactly once.
     pub(crate) fn seal(&mut self) -> Result<OnlineOutcome, SimError> {
         self.schedule.coalesce(1e-9);
 
@@ -1140,40 +1160,52 @@ impl<R: ReadyStore> EngineState<R> {
                 .push(self.now.max(recovered_at) - crash_at);
         }
 
-        // The effective instance: exactly the jobs with executed work,
-        // at their executed totals (shared accounting with `metrics`),
-        // so the schedule validates against it even after re-execution,
-        // partial cancellation, or a mid-queue eviction.
-        let executed = metrics::executed_work_by_job(&self.schedule);
-        let eff: Vec<Job> = self
-            .arrivals
-            .iter()
-            .filter_map(|j| executed.get(&j.id).map(|&w| Job::new(j.id, j.release, w)))
-            .filter(|j| j.work > 0.0)
-            .collect();
+        // Per-job executed work (compensated, in schedule order) and
+        // last slice end, into the table.
+        for s in self.schedule.machine(0) {
+            let i = self.ids.get(s.job).expect("slices run arrived jobs");
+            self.table[i].executed.add(s.work());
+            self.table[i].last_end = Some(s.end);
+        }
+
+        // One walk of the table. The effective instance holds exactly
+        // the jobs with executed work, at their executed totals, so the
+        // schedule validates against it even after re-execution,
+        // partial cancellation, or a mid-queue eviction. Against the
+        // plan's SLO, a delivered job misses when its flow exceeds it,
+        // and every cancelled or shed job is a miss.
+        let mut eff = Vec::new();
+        let (mut completed, mut cancelled, mut shed, mut late) = (0, 0, 0, 0);
+        for (j, e) in self.arrivals.iter().zip(&self.table) {
+            let work = e.executed.total();
+            if work > 0.0 {
+                eff.push(Job::new(j.id, j.release, work));
+            }
+            match e.state {
+                JobState::Completed => {
+                    completed += 1;
+                    if let Some(slo) = self.slo {
+                        late += usize::from(e.last_end.is_none_or(|c| c - j.release > slo));
+                    }
+                }
+                JobState::Cancelled { .. } => cancelled += 1,
+                JobState::Shed => shed += 1,
+                JobState::Pending | JobState::Live => {}
+            }
+        }
+        // Conservation: every arrival ended exactly once, and the table
+        // agrees with the report's counters.
+        debug_assert_eq!(completed + cancelled + shed, self.n, "a job never ended");
+        debug_assert_eq!(cancelled, self.report.cancelled_jobs);
+        debug_assert_eq!(shed, self.report.shed_jobs);
+        if self.slo.is_some() {
+            self.report.deadline_misses = Some(cancelled + shed + late);
+        }
         let effective = if eff.is_empty() {
             None
         } else {
             Some(Instance::new(eff).map_err(SimError::solver)?)
         };
-
-        // Deadline misses against the plan's SLO: delivered jobs via
-        // the shared metric; every cancelled or shed job is a miss.
-        if let Some(slo) = self.slo {
-            let delivered: Vec<Job> = self
-                .arrivals
-                .iter()
-                .filter(|j| !self.cancelled_all.contains(&j.id) && !self.shed.contains(&j.id))
-                .copied()
-                .collect();
-            let mut misses = self.report.cancelled_jobs + self.report.shed_jobs;
-            if !delivered.is_empty() {
-                if let Ok(inst) = Instance::new(delivered) {
-                    misses += metrics::deadline_misses(&self.schedule, &inst, slo);
-                }
-            }
-            self.report.deadline_misses = Some(misses);
-        }
 
         Ok(OnlineOutcome {
             schedule: std::mem::replace(&mut self.schedule, Schedule::single()),
@@ -1362,7 +1394,7 @@ mod tests {
             )
             .unwrap_err();
             assert!(
-                matches!(err, SimError::InvalidAdmission { .. }),
+                matches!(err, SimError::InvalidConfig { .. }),
                 "{ac:?} gave {err}"
             );
             assert_eq!(ac.validate(), Err(err));
@@ -1493,6 +1525,121 @@ mod tests {
         // Short job finishes at 2 (preempts), long at 11.
         assert!((completions[&1] - 2.0).abs() < 1e-9);
         assert!((completions[&0] - 11.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn every_terminal_path_ends_each_arrival_once() {
+        // Job 0 completes before a lose-progress crash at 0.5 erases
+        // job 1's progress; jobs 2–4 arrive at 1.0 into a 2-slot queue;
+        // job 1 is cancelled at 1.5 after it ran again, and job 5 at 2.0
+        // before its release.
+        let inst = Instance::from_pairs(&[
+            (0.0, 0.25),
+            (0.0, 2.0),
+            (1.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 1.0),
+            (20.0, 1.0),
+        ])
+        .unwrap();
+        let cancel = |at, job| FaultEvent {
+            at,
+            kind: FaultKind::CancelJob { job },
+        };
+        let plan = FaultPlan::new(vec![
+            FaultEvent {
+                at: 0.5,
+                kind: FaultKind::Crash {
+                    duration: 0.5,
+                    semantics: CrashSemantics::LoseProgress,
+                },
+            },
+            cancel(1.5, 1),
+            cancel(2.0, 5),
+        ])
+        .unwrap();
+        // Per rule: [completed, cancelled before arrival, cancelled
+        // after admission, shed], by job id.
+        let cases: [(ShedPolicy, [&[u32]; 4]); 3] = [
+            (ShedPolicy::RejectNewest, [&[0, 2], &[5], &[1], &[3, 4]]),
+            (ShedPolicy::EvictOldest, [&[0, 3, 4], &[5], &[], &[1, 2]]),
+            (
+                ShedPolicy::DeadlineAware {
+                    slo: 2.5,
+                    service_rate: 1.0,
+                },
+                [&[0], &[5], &[1], &[2, 3, 4]],
+            ),
+        ];
+        for (shed, want) in cases {
+            let admission = Some(AdmissionConfig { capacity: 2, shed });
+            let mut arrivals = Vec::new();
+            let bursts = materialize_arrivals(&inst, &plan, &mut arrivals);
+            let mut engine = EngineState::new(
+                arrivals,
+                &plan,
+                bursts,
+                admission,
+                ShardedReadySet::default(),
+            )
+            .unwrap();
+            while !engine.done() {
+                engine.step(&PolyPower::CUBE, &mut FixedSpeed(1.0)).unwrap();
+            }
+            let mut ended: [Vec<u32>; 4] = Default::default();
+            for (j, e) in engine.arrivals.iter().zip(&engine.table) {
+                let k = match e.state {
+                    JobState::Completed => 0,
+                    JobState::Cancelled { admitted: false } => 1,
+                    JobState::Cancelled { admitted: true } => 2,
+                    JobState::Shed => 3,
+                    other => panic!("{shed:?}: job {} ended {other:?}", j.id),
+                };
+                ended[k].push(j.id);
+                assert_eq!(e.energy, None, "{shed:?}: job {} kept its energy", j.id);
+            }
+            assert_eq!(
+                ended.map(|ids| ids.to_vec()),
+                want.map(<[u32]>::to_vec),
+                "{shed:?}"
+            );
+            let out = engine.seal().unwrap();
+            let r = &out.resilience;
+            assert_eq!(r.crashes, 1);
+            assert_eq!(r.cancelled_jobs, want[1].len() + want[2].len(), "{shed:?}");
+            assert_eq!(r.shed_jobs, want[3].len(), "{shed:?}");
+            // The crash erased job 1's first 0.25 units, and a cancel
+            // after admission also wastes the 0.5 it ran since.
+            let lost = if want[2].is_empty() { 0.25 } else { 0.75 };
+            assert!(
+                (r.lost_work - lost).abs() < 1e-12,
+                "{shed:?}: {}",
+                r.lost_work
+            );
+            assert!((r.wasted_energy - lost).abs() < 1e-12, "{shed:?}");
+            out.schedule
+                .validate(out.effective.as_ref().unwrap(), 1e-6)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn id_index_resolves_dense_and_sparse_ids() {
+        let jobs =
+            |ids: &[u32]| -> Vec<Job> { ids.iter().map(|&id| Job::new(id, 0.0, 1.0)).collect() };
+        let dense = jobs(&[7, 5, 6, 9]);
+        let sparse = jobs(&[40, 3, 1_000_000, 17]);
+        for (arrivals, is_dense) in [(&dense, true), (&sparse, false)] {
+            let index = IdIndex::new(arrivals);
+            assert_eq!(matches!(index, IdIndex::Dense { .. }), is_dense);
+            for (i, j) in arrivals.iter().enumerate() {
+                assert_eq!(index.get(j.id), Some(i));
+            }
+            for absent in [0, 4, 8, 10, 41, u32::MAX] {
+                assert_eq!(index.get(absent), None, "{absent}");
+            }
+        }
+        assert_eq!(IdIndex::new(&[]).get(0), None);
     }
 
     #[test]

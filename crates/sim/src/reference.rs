@@ -5,9 +5,10 @@
 //! here is the *same generic code* as the production path — only the
 //! storage engine differs: the arena
 //! ([`ShardedReadySet`](crate::arena::ShardedReadySet), struct-of-arrays
-//! slab with free-listed stable slots and batched ingestion) versus the
-//! original dense `Vec<PendingJob>` with swap-remove compaction, which
-//! lives here because this engine is its only user. What the
+//! slab with free-listed stable slots and a dense arrival-index lane)
+//! versus the original dense `Vec<PendingJob>` with swap-remove
+//! compaction and a hash map from arrival index to slot, which lives
+//! here because this engine is its only user. What the
 //! differential harness (`tests/online_equivalence.rs`) therefore
 //! proves is that the two *storage layouts* are observationally
 //! indistinguishable: identical policy decisions, identical slices,
@@ -39,7 +40,8 @@ pub fn run_online_reference<M: pas_power::PowerModel>(
     plan: &FaultPlan,
     admission: Option<AdmissionConfig>,
 ) -> Result<OnlineOutcome, SimError> {
-    let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
+    let mut arrivals = Vec::new();
+    let burst_jobs = materialize_arrivals(instance, plan, &mut arrivals);
     let mut engine = EngineState::new(arrivals, plan, burst_jobs, admission, ReadySet::default())?;
     drive(&mut engine, model, policy)
 }
@@ -55,13 +57,13 @@ pub fn run_online_reference<M: pas_power::PowerModel>(
 /// [`outcome_digest`](crate::journal::outcome_digest)s.
 #[derive(Debug, Clone, Default)]
 pub struct ReadySet {
-    /// Dense storage; `slot_of` maps ids to slots (swap-remove keeps it
-    /// dense).
-    jobs: Vec<PendingJob>,
-    slot_of: HashMap<u32, usize>,
-    /// Ids in admission (= release) order; the front is always a live
-    /// id (pruned on removal), so `first` is `O(1)`.
-    queue: VecDeque<u32>,
+    /// Dense storage of `(arrival index, job)`; `slot_of` maps arrival
+    /// indices to slots (swap-remove keeps it dense).
+    jobs: Vec<(usize, PendingJob)>,
+    slot_of: HashMap<usize, usize>,
+    /// Arrival indices in admission (= release) order; the front is
+    /// always live (pruned on removal), so `first` is `O(1)`.
+    queue: VecDeque<usize>,
     backlog: f64,
     seen_work: f64,
     first_arrival: Option<f64>,
@@ -74,12 +76,8 @@ impl ReadyView for ReadySet {
     }
 
     fn first(&self) -> Option<PendingJob> {
-        let &id = self.queue.front()?;
-        self.get(id)
-    }
-
-    fn get(&self, id: u32) -> Option<PendingJob> {
-        self.slot_of.get(&id).map(|&s| self.jobs[s])
+        let slot = self.slot(self.oldest()?)?;
+        Some(self.jobs[slot].1)
     }
 
     fn backlog(&self) -> f64 {
@@ -95,9 +93,9 @@ impl ReadyView for ReadySet {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&PendingJob)) {
-        for id in &self.queue {
-            if let Some(&slot) = self.slot_of.get(id) {
-                f(&self.jobs[slot]);
+        for key in &self.queue {
+            if let Some(&slot) = self.slot_of.get(key) {
+                f(&self.jobs[slot].1);
             }
         }
     }
@@ -135,41 +133,41 @@ impl ReadyStore for ReadySet {
         };
     }
 
-    fn admit(&mut self, job: PendingJob) {
+    fn admit(&mut self, key: usize, job: PendingJob) {
         self.seen_work += job.work;
         self.first_arrival.get_or_insert(job.release);
         self.backlog += job.remaining;
         self.bands.on_admit(&job);
-        self.slot_of.insert(job.id, self.jobs.len());
-        self.queue.push_back(job.id);
-        self.jobs.push(job);
+        self.slot_of.insert(key, self.jobs.len());
+        self.queue.push_back(key);
+        self.jobs.push((key, job));
     }
 
-    fn slot(&self, id: u32) -> Option<usize> {
-        self.slot_of.get(&id).copied()
+    fn oldest(&self) -> Option<usize> {
+        self.queue.front().copied()
+    }
+
+    fn slot(&self, key: usize) -> Option<usize> {
+        self.slot_of.get(&key).copied()
     }
 
     fn remaining_at(&self, slot: usize) -> f64 {
-        self.jobs[slot].remaining
-    }
-
-    fn work_at(&self, slot: usize) -> f64 {
-        self.jobs[slot].work
+        self.jobs[slot].1.remaining
     }
 
     fn execute(&mut self, slot: usize, executed: f64) {
-        self.jobs[slot].remaining -= executed;
+        self.jobs[slot].1.remaining -= executed;
         self.backlog -= executed;
-        self.bands.on_execute(self.jobs[slot].release, executed);
+        self.bands.on_execute(self.jobs[slot].1.release, executed);
     }
 
     fn remove(&mut self, slot: usize) {
-        let job = self.jobs.swap_remove(slot);
+        let (key, job) = self.jobs.swap_remove(slot);
         self.backlog -= job.remaining;
         self.bands.on_remove(&job);
-        self.slot_of.remove(&job.id);
-        if let Some(moved) = self.jobs.get(slot) {
-            self.slot_of.insert(moved.id, slot);
+        self.slot_of.remove(&key);
+        if let Some(&(moved, _)) = self.jobs.get(slot) {
+            self.slot_of.insert(moved, slot);
         }
         // Keep the queue front live so `first` stays O(1).
         while let Some(front) = self.queue.front() {
@@ -180,29 +178,30 @@ impl ReadyStore for ReadySet {
         }
     }
 
-    fn reset_progress(&mut self) -> f64 {
+    fn reset_progress(&mut self, on_reset: &mut dyn FnMut(usize)) -> f64 {
         // Canonical admission order (matching the arena), so the
         // running total sees the same additions in the same order.
         let mut erased = 0.0;
-        for i in 0..self.queue.len() {
-            let id = self.queue[i];
-            let Some(&slot) = self.slot_of.get(&id) else {
+        for &key in &self.queue {
+            let Some(&slot) = self.slot_of.get(&key) else {
                 continue;
             };
-            let done = self.jobs[slot].work - self.jobs[slot].remaining;
+            let job = &mut self.jobs[slot].1;
+            let done = job.work - job.remaining;
             if done > 0.0 {
                 erased += done;
-                self.jobs[slot].remaining = self.jobs[slot].work;
-                self.bands.on_reset(self.jobs[slot].release, done);
+                job.remaining = job.work;
+                self.bands.on_reset(job.release, done);
+                on_reset(key);
             }
         }
         self.backlog += erased;
         erased
     }
 
-    fn cancel(&mut self, id: u32) -> Option<PendingJob> {
-        let &slot = self.slot_of.get(&id)?;
-        let job = self.jobs[slot];
+    fn cancel(&mut self, key: usize) -> Option<PendingJob> {
+        let &slot = self.slot_of.get(&key)?;
+        let (_, job) = self.jobs[slot];
         self.remove(slot);
         Some(job)
     }
@@ -270,15 +269,15 @@ mod tests {
         // used state, compared after every operation.
         let mut aos = ReadySet::default();
         let mut soa = ShardedReadySet::default();
-        aos.admit(job(99, 0.0, 1.0));
-        soa.admit(job(99, 0.0, 1.0));
+        aos.admit(99, job(99, 0.0, 1.0));
+        soa.admit(99, job(99, 0.0, 1.0));
         aos.recycle(0.5, 0.75);
         soa.recycle(0.5, 0.75);
         assert_eq!(observe(&aos), observe(&soa));
         for id in 0..6 {
             let j = job(id, 0.5 + 0.6 * f64::from(id), 1.0 + f64::from(id) / 3.0);
-            aos.admit(j);
-            soa.admit(j);
+            aos.admit(id as usize, j);
+            soa.admit(id as usize, j);
             assert_eq!(observe(&aos), observe(&soa), "admit {id}");
         }
         for (id, executed) in [(0, 0.4), (3, 1.1), (5, 0.2)] {
@@ -286,7 +285,6 @@ mod tests {
             aos.execute(a, executed);
             soa.execute(s, executed);
             assert_eq!(aos.remaining_at(a).to_bits(), soa.remaining_at(s).to_bits());
-            assert_eq!(aos.work_at(a).to_bits(), soa.work_at(s).to_bits());
         }
         assert_eq!(observe(&aos), observe(&soa), "after execute");
         // Remove the queue front (job 0), cancel an interior job, and
@@ -298,10 +296,13 @@ mod tests {
         assert_eq!(aos.cancel(2), soa.cancel(2));
         assert_eq!(aos.cancel(2), None);
         assert_eq!(observe(&aos), observe(&soa), "after cancel");
+        let (mut reset_a, mut reset_s) = (Vec::new(), Vec::new());
         assert_eq!(
-            aos.reset_progress().to_bits(),
-            soa.reset_progress().to_bits()
+            aos.reset_progress(&mut |key| reset_a.push(key)).to_bits(),
+            soa.reset_progress(&mut |key| reset_s.push(key)).to_bits()
         );
+        assert_eq!(reset_a, vec![3, 5]);
+        assert_eq!(reset_a, reset_s);
         assert_eq!(observe(&aos), observe(&soa), "after reset");
     }
 }

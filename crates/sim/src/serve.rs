@@ -35,7 +35,7 @@ use crate::online::{
     materialize_arrivals, AdmissionConfig, Decision, EngineState, OnlineOutcome, OnlinePolicy,
     ReadyView, SimError,
 };
-use pas_workload::Instance;
+use pas_workload::{Instance, Job};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -48,8 +48,27 @@ pub struct WatchdogConfig {
     /// consulting the policy altogether.
     pub trip_limit: u32,
     /// Speed of the deterministic earliest-release fallback used once
-    /// the breaker is open.
+    /// the breaker is open (finite, `> 0`).
     pub fallback_speed: f64,
+}
+
+impl WatchdogConfig {
+    /// Check the documented domain: a finite `fallback_speed > 0`.
+    /// Outside it the fault would only show when the breaker opens, as
+    /// an invalid fallback decision after decisions were journaled.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] naming the field and its value.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let v = self.fallback_speed;
+        if v.is_finite() && v > 0.0 {
+            Ok(())
+        } else {
+            Err(SimError::InvalidConfig {
+                reason: format!("watchdog fallback_speed {v} must be finite and > 0"),
+            })
+        }
+    }
 }
 
 impl Default for WatchdogConfig {
@@ -113,6 +132,25 @@ pub struct ServeOutcome {
     pub stats: ServeStats,
 }
 
+/// Check `config` and materialize the scenario: the arrival stream, its
+/// burst-job count, and the digest a journal header carries.
+fn scenario(
+    instance: &Instance,
+    plan: &FaultPlan,
+    config: &ServeConfig,
+) -> Result<(Vec<Job>, usize, u64), SimError> {
+    if let Some(ac) = &config.admission {
+        ac.validate()?;
+    }
+    if let Some(wd) = &config.watchdog {
+        wd.validate()?;
+    }
+    let mut arrivals = Vec::new();
+    let burst_jobs = materialize_arrivals(instance, plan, &mut arrivals);
+    let digest = scenario_digest(&arrivals, plan, config.admission.as_ref());
+    Ok((arrivals, burst_jobs, digest))
+}
+
 /// A long-running serving process around the online engine.
 ///
 /// Drive it with [`run`](Server::run) (to completion) or
@@ -142,8 +180,9 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     ///
     /// # Errors
     /// [`SimError::EmptyInstance`] for an empty scenario;
-    /// [`SimError::InvalidAdmission`] for an admission config that fails
-    /// [`AdmissionConfig::validate`]; [`SimError::Solver`] wrapping a
+    /// [`SimError::InvalidConfig`] for an admission or watchdog config
+    /// that fails [`AdmissionConfig::validate`] or
+    /// [`WatchdogConfig::validate`]; [`SimError::Solver`] wrapping a
     /// [`JournalError`] if the header cannot be written.
     pub fn new(
         instance: &Instance,
@@ -152,8 +191,7 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
         config: ServeConfig,
         mut journal: Journal,
     ) -> Result<Server<'a, M>, SimError> {
-        let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
-        let digest = scenario_digest(&arrivals, plan, config.admission.as_ref());
+        let (arrivals, burst_jobs, digest) = scenario(instance, plan, &config)?;
         // Construct first, so a rejected scenario writes no header.
         let engine = EngineState::new(
             arrivals,
@@ -165,7 +203,13 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
         journal
             .write_header(engine.n, plan.len(), digest)
             .map_err(SimError::solver)?;
-        Ok(Server {
+        Ok(Server::start(model, config, engine, journal))
+    }
+
+    /// A server over `engine` with no history: nothing to replay and
+    /// every counter at zero.
+    fn start(model: &'a M, config: ServeConfig, engine: EngineState, journal: Journal) -> Self {
+        Server {
             model,
             config,
             engine,
@@ -180,7 +224,7 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
             replayed: 0,
             snapshots: 0,
             latencies: Vec::new(),
-        })
+        }
     }
 
     /// Restore a crashed serving run from its journal contents.
@@ -201,7 +245,7 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     /// the same construction the original run used.
     ///
     /// # Errors
-    /// [`SimError::InvalidAdmission`] as [`Server::new`];
+    /// [`SimError::InvalidConfig`] as [`Server::new`];
     /// [`SimError::Solver`] wrapping [`JournalError::ScenarioMismatch`]
     /// if the journal belongs to a different scenario (instance, fault
     /// plan, admission config, or format version), or other
@@ -215,13 +259,9 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
         journal: Journal,
         policy: &mut dyn OnlinePolicy,
     ) -> Result<Server<'a, M>, SimError> {
-        // A snapshot base rebuilds the engine without its constructor,
-        // so the constructor's admission check is made here first.
-        if let Some(ac) = &config.admission {
-            ac.validate()?;
-        }
-        let (arrivals, burst_jobs) = materialize_arrivals(instance, plan);
-        let digest = scenario_digest(&arrivals, plan, config.admission.as_ref());
+        // The config is checked before the journal is read: a snapshot
+        // base rebuilds the engine without its constructor's check.
+        let (arrivals, burst_jobs, digest) = scenario(instance, plan, &config)?;
         let records = read_records(prior).map_err(SimError::solver)?;
         match records.first() {
             Some(Record::Header {
@@ -261,7 +301,8 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
         }
         let (engine, seq, wd_trips, breaker_open) = match base {
             Some(snap) => (
-                snap.restore_engine(arrivals, plan, config.admission),
+                snap.restore_engine(arrivals, plan, config.admission)
+                    .map_err(SimError::solver)?,
                 snap.seq,
                 snap.watchdog_trips,
                 snap.breaker_open,
@@ -287,20 +328,11 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
             })
             .collect();
         Ok(Server {
-            model,
-            config,
-            engine,
-            journal,
             replay,
             seq,
             wd_trips,
             breaker_open,
-            steps: 0,
-            steps_since_snapshot: 0,
-            decisions: 0,
-            replayed: 0,
-            snapshots: 0,
-            latencies: Vec::new(),
+            ..Server::start(model, config, engine, journal)
         })
     }
 
@@ -398,7 +430,8 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     }
 
     /// Finalize a completed run (coalesce the schedule, build the
-    /// effective instance, close out the report).
+    /// effective instance, close out the report). Call it once
+    /// [`done`](Server::done) holds.
     ///
     /// # Errors
     /// [`SimError`] if the engine cannot finalize.
@@ -681,22 +714,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_admission_is_rejected_by_new_and_restore() {
+    fn invalid_configs_are_rejected_by_new_and_restore() {
         let inst = instance();
         let plan = FaultPlan::none();
-        let bad = ServeConfig {
-            admission: Some(AdmissionConfig {
-                capacity: 0,
-                shed: ShedPolicy::EvictOldest,
-            }),
-            ..ServeConfig::default()
-        };
-        let err = match Server::new(&inst, &PolyPower::CUBE, &plan, bad, Journal::memory()) {
-            Err(e) => e,
-            Ok(_) => panic!("a zero-capacity queue must be rejected"),
-        };
-        assert!(matches!(err, SimError::InvalidAdmission { .. }), "{err}");
-
         // Restore checks the config before it reads the journal, so a
         // journal with a snapshot base cannot carry a bad config past it.
         let good = ServeConfig {
@@ -707,30 +727,47 @@ mod tests {
             Server::new(&inst, &PolyPower::CUBE, &plan, good, Journal::memory()).unwrap();
         server.run_for(&mut Greedy, 3).unwrap();
         let prior = server.journal().contents().unwrap().to_string();
-        let nan = ServeConfig {
-            admission: Some(AdmissionConfig {
-                capacity: 4,
-                shed: ShedPolicy::DeadlineAware {
-                    slo: 2.0,
-                    service_rate: f64::NAN,
-                },
+        let admission = |capacity, shed| ServeConfig {
+            admission: Some(AdmissionConfig { capacity, shed }),
+            ..good
+        };
+        let watchdog = |fallback_speed| ServeConfig {
+            watchdog: Some(WatchdogConfig {
+                fallback_speed,
+                ..WatchdogConfig::default()
             }),
             ..good
         };
-        let restored = Server::restore(
-            &inst,
-            &PolyPower::CUBE,
-            &plan,
-            nan,
-            &prior,
-            Journal::memory(),
-            &mut Greedy,
-        );
-        let err = match restored {
-            Err(e) => e,
-            Ok(_) => panic!("a NaN service rate must be rejected"),
+        let nan_rate = ShedPolicy::DeadlineAware {
+            slo: 2.0,
+            service_rate: f64::NAN,
         };
-        assert!(matches!(err, SimError::InvalidAdmission { .. }), "{err}");
+        let mut bad = vec![
+            admission(0, ShedPolicy::EvictOldest),
+            admission(4, nan_rate),
+        ];
+        bad.extend([0.0, -1.0, f64::NAN, f64::INFINITY].map(watchdog));
+        for config in bad {
+            let err = match Server::new(&inst, &PolyPower::CUBE, &plan, config, Journal::memory()) {
+                Err(e) => e,
+                Ok(_) => panic!("{config:?} must be rejected"),
+            };
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+            let restored = Server::restore(
+                &inst,
+                &PolyPower::CUBE,
+                &plan,
+                config,
+                &prior,
+                Journal::memory(),
+                &mut Greedy,
+            );
+            match restored {
+                Err(e) => assert_eq!(e, err),
+                Ok(_) => panic!("{config:?} must be rejected on restore"),
+            }
+        }
+        assert_eq!(WatchdogConfig::default().validate(), Ok(()));
     }
 
     /// A policy that wedges (busy-waits past the budget) on its first

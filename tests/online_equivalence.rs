@@ -1,11 +1,12 @@
 //! Differential harness: sharded-arena engine vs. retained reference.
 //!
-//! PR8 rebuilt the online engine's job state as a data-oriented
+//! The online engine keeps its ready jobs in a data-oriented
 //! struct-of-arrays arena ([`ShardedReadySet`]) with deadline-band
-//! shard aggregates and batched arrival ingestion; the original dense
-//! `Vec<PendingJob>` store survives per the workspace convention as the
-//! `*_reference` path. Both stores drive the *same generic event loop*
-//! (`EngineState<R>`), so this suite proves the two storage layouts are
+//! shard aggregates, keyed by arrival index through a dense lane; the
+//! original dense `Vec<PendingJob>` store, with its hash map, survives
+//! per the workspace convention as the `*_reference` path. Both stores
+//! drive the *same generic event loop* (`EngineState<R>`), so this
+//! suite proves the two storage layouts are
 //! observationally indistinguishable — **bit-identical**
 //! [`outcome_digest`]s across:
 //!
@@ -22,7 +23,10 @@
 //!   uninterrupted run on the *reference* store;
 //! * an n-doubling ladder pinning the new policies' empirical E13
 //!   competitive ratio flat (bounded, non-growing) where SpendAll's
-//!   grows.
+//!   grows;
+//! * the effective instance, which the engine builds from its per-job
+//!   table, against one rebuilt from the schedule by
+//!   `metrics::executed_work_by_job`.
 //!
 //! [`ShardedReadySet`]: power_aware_scheduling::sim::ShardedReadySet
 //! [`outcome_digest`]: power_aware_scheduling::sim::outcome_digest
@@ -33,11 +37,12 @@ use power_aware_scheduling::online::{
 use power_aware_scheduling::power::PolyPower;
 use power_aware_scheduling::sim::online::{AdmissionConfig, OnlinePolicy, ShedPolicy};
 use power_aware_scheduling::sim::{
-    outcome_digest, run_online_pooled, run_online_reference, run_online_with_faults, EngineScratch,
-    FaultModel, FaultPlan, Journal, ServeConfig, Server,
+    metrics, outcome_digest, run_online_pooled, run_online_reference, run_online_with_faults,
+    EngineScratch, FaultKind, FaultModel, FaultPlan, Journal, OnlineOutcome, ServeConfig, Server,
 };
 use power_aware_scheduling::workload::{generators, strategies, Instance};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Fresh-constructor roster: policies are stateful across a run, so
 /// every engine gets its own instance built from the same parameters.
@@ -80,8 +85,43 @@ fn sample_plan(instance: &Instance, rate: f64, seed: u64) -> FaultPlan {
         .sample(horizon, &ids, seed)
 }
 
+/// The effective instance the engine builds from its per-job table
+/// equals one rebuilt from the schedule by
+/// `metrics::executed_work_by_job` (the oracle): the same ids, releases
+/// and work bits. Burst releases are re-derived the way the engine
+/// materializes them: fresh ids after the largest, in plan order.
+fn assert_effective_matches_schedule(instance: &Instance, plan: &FaultPlan, out: &OnlineOutcome) {
+    let mut releases: HashMap<u32, f64> =
+        instance.jobs().iter().map(|j| (j.id, j.release)).collect();
+    let mut next_id = releases.keys().max().map_or(0, |m| m + 1);
+    for ev in plan.events() {
+        if let FaultKind::ArrivalBurst { jobs } = &ev.kind {
+            for b in jobs {
+                releases.insert(next_id, ev.at + b.offset);
+                next_id += 1;
+            }
+        }
+    }
+    let bits = |id: u32, release: f64, work: f64| (id, release.to_bits(), work.to_bits());
+    let mut want: Vec<_> = metrics::executed_work_by_job(&out.schedule)
+        .into_iter()
+        .filter(|&(_, w)| w > 0.0)
+        .map(|(id, w)| bits(id, releases[&id], w))
+        .collect();
+    want.sort_unstable();
+    let mut got: Vec<_> = out.effective.as_ref().map_or(Vec::new(), |e| {
+        e.jobs()
+            .iter()
+            .map(|j| bits(j.id, j.release, j.work))
+            .collect()
+    });
+    got.sort_unstable();
+    assert_eq!(got, want, "effective instance differs from the schedule's");
+}
+
 /// Assert the arena and reference engines agree to the bit on one
-/// (instance, plan) under every roster policy.
+/// (instance, plan) under every roster policy, and that the effective
+/// instance matches the schedule.
 fn assert_equivalent(instance: &Instance, plan: &FaultPlan) {
     let model = PolyPower::CUBE;
     let budget = 2.0 * instance.total_work();
@@ -92,6 +132,7 @@ fn assert_equivalent(instance: &Instance, plan: &FaultPlan) {
             .unwrap_or_else(|e| panic!("{name}: arena run failed: {e}"));
         let b = run_online_reference(instance, &model, reference_policy.as_mut(), plan, None)
             .unwrap_or_else(|e| panic!("{name}: reference run failed: {e}"));
+        assert_effective_matches_schedule(instance, plan, &a);
         assert_eq!(
             outcome_digest(&a),
             outcome_digest(&b),
@@ -151,6 +192,7 @@ proptest! {
                     .unwrap_or_else(|e| panic!("{name}: gated arena run failed: {e}"));
                 let b = run_online_reference(&instance, &model, pb.as_mut(), &plan, admission)
                     .unwrap_or_else(|e| panic!("{name}: gated reference run failed: {e}"));
+                assert_effective_matches_schedule(&instance, &plan, &a);
                 prop_assert!(
                     outcome_digest(&a) == outcome_digest(&b),
                     "{} under {:?} diverged", name, shed
