@@ -557,8 +557,9 @@ impl MultiScalingPoint {
 /// The E21 instance family: works quantized to a `levels`-step grid
 /// over `[0.5, 3.5]`, drawn by a fixed LCG from `seed`. Quantization
 /// matters: duplicate work values are exactly where the incremental
-/// engine's equal-load symmetry breaking bites, and grid sums keep the
-/// Partition-style structure of Theorem 11.
+/// engine's equal-load symmetry breaking and identical-job dominance
+/// bite, and grid sums keep the Partition-style structure of
+/// Theorem 11.
 pub fn multi_works(n: usize, levels: u64, seed: u64) -> Vec<f64> {
     let mut state = seed;
     let step = 3.0 / levels as f64;

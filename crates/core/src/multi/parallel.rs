@@ -7,10 +7,14 @@
 //! same seeded incumbent) across subtrees:
 //!
 //! * the first few levels of the search tree are expanded breadth-first
-//!   — with the same equal-load symmetry breaking the sequential engine
-//!   uses — into a **shared work deque** of prefix assignments, until
-//!   there are several tasks per worker (so one heavy subtree cannot
-//!   serialize the run);
+//!   — with the sequential engine's own branching rule
+//!   (`SearchCore::candidates`: equal-load symmetry breaking and
+//!   identical-job dominance) — into a **shared work deque** of prefix
+//!   assignments, until there are several tasks per worker (so one
+//!   heavy subtree cannot serialize the run);
+//! * each task resumes `descend` with the dominance floor its prefix
+//!   implies (`SearchCore::replay`), so the prefix boundary prunes the
+//!   same orderings of identical jobs the sequential search does;
 //! * the worker count respects [`std::thread::available_parallelism`]
 //!   (capped by the task count) instead of spawning a thread per branch
 //!   unconditionally;
@@ -25,7 +29,6 @@
 
 use crate::budget::{Budgeted, Degradation, SharedGate, SolveBudget};
 use crate::multi::partition::{descend, Incumbent, SearchCore};
-use pas_numeric::SortedLoads;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -169,29 +172,19 @@ pub fn min_norm_assignment_parallel_budgeted_with(
     let (seed_labels, seed_norm) = core.seed_incumbent();
 
     // Expand the top of the tree breadth-first into frontier tasks:
-    // prefix label vectors, symmetry-broken exactly like the sequential
-    // engine, until there are a few tasks per worker (or the tree is
-    // exhausted, in which case the frontier IS the leaf set).
+    // prefix label vectors, branched exactly like the sequential engine,
+    // until there are a few tasks per worker (or the tree is exhausted,
+    // in which case the frontier IS the leaf set).
     let target = 4 * workers;
     let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut cands = vec![0usize; m];
     let mut depth = 0usize;
     while depth < n && frontier.len() < target {
         let mut next = Vec::with_capacity(frontier.len() * m);
         for prefix in &frontier {
-            let mut st = SortedLoads::new(m, alpha);
-            for (k, &p) in prefix.iter().enumerate() {
-                st.raise(p, st.load(p) + core.sorted[k]);
-            }
-            let mut prev = f64::NAN;
-            let mut first = true;
-            for pos in 0..m {
-                let slot = st.slot_at(pos);
-                let load = st.load(slot);
-                if !first && load.total_cmp(&prev).is_eq() {
-                    continue;
-                }
-                first = false;
-                prev = load;
+            let (st, floor) = core.replay(prefix);
+            let count = core.candidates(&st, depth, floor, &mut cands);
+            for &slot in &cands[..count] {
                 let mut child = prefix.clone();
                 child.push(slot);
                 next.push(child);
@@ -231,16 +224,14 @@ pub fn min_norm_assignment_parallel_budgeted_with(
                         // `descend`'s first tick fails and the subtree's
                         // root bound joins the certificate, so no part
                         // of the tree escapes accounting.
-                        let mut st = SortedLoads::new(m, alpha);
-                        for (k, &p) in prefix.iter().enumerate() {
-                            st.raise(p, st.load(p) + core.sorted[k]);
-                            labels[k] = p;
-                        }
+                        let (mut st, floor) = core.replay(&prefix);
+                        labels[..prefix.len()].copy_from_slice(&prefix);
                         descend(
                             core,
                             &mut st,
                             &mut labels,
                             prefix.len(),
+                            floor,
                             &mut scratch,
                             &mut inc,
                             &mut wgate,

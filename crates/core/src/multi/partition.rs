@@ -116,13 +116,19 @@ pub fn makespan_for_loads(loads: &[f64], alpha: f64, budget: f64) -> f64 {
 /// lazy prefix refresh plus a binary search plus a single `powf` —
 /// instead of the full re-sort and `m`-`powf` re-scan per node that
 /// [`min_norm_assignment_reference`] (the seed engine, kept as the
-/// equivalence oracle) pays. Three further structural savings:
+/// equivalence oracle) pays. Four further structural savings:
 ///
 /// * the incumbent is **seeded** with [`lpt_assignment`] refined by
 ///   [`local_search`], so pruning bites from the first node;
 /// * symmetry breaking skips every processor whose load *equals* an
 ///   already-tried one (the seed engine only collapsed empty
 ///   processors), which also subsumes the `m > n` case;
+/// * **identical-job dominance**: a job equal to its predecessor only
+///   goes to a processor at least as loaded as the predecessor's was
+///   before it. Sound by a swap argument: placing a run of identical
+///   jobs greedily (least-loaded processor with quota left) gives
+///   nondecreasing pre-loads and the same final loads, so each load
+///   multiset keeps one ordering instead of one per permutation;
 /// * the last job goes straight to the least-loaded processor — by
 ///   convexity that placement is optimal for the leaf's parent.
 ///
@@ -177,6 +183,7 @@ pub fn min_norm_assignment_budgeted(
         &mut st,
         &mut labels,
         0,
+        f64::NEG_INFINITY,
         &mut scratch,
         &mut inc,
         &mut gate,
@@ -248,6 +255,58 @@ impl SearchCore {
         (labels, norm)
     }
 
+    /// The processors job `k` branches onto, written to `cands` (length
+    /// ≥ `m`); returns how many. One processor per equal-load run, in
+    /// ascending load order: equal-load processors are interchangeable
+    /// for the remaining subproblem (it depends only on the load
+    /// multiset and the floor), so trying one per run preserves an
+    /// optimal leaf, and ascending order finds strong incumbents early.
+    ///
+    /// Identical-job dominance: when job `k` equals job `k − 1` bit for
+    /// bit, processors loaded below `floor` — the load job `k − 1`'s
+    /// processor had before it — are skipped (see
+    /// [`min_norm_assignment`]).
+    pub(crate) fn candidates(
+        &self,
+        st: &SortedLoads,
+        k: usize,
+        floor: f64,
+        cands: &mut [usize],
+    ) -> usize {
+        let floor = if k > 0 && self.sorted[k].to_bits() == self.sorted[k - 1].to_bits() {
+            floor
+        } else {
+            f64::NEG_INFINITY
+        };
+        let mut count = 0usize;
+        let mut prev = f64::NAN;
+        for pos in 0..self.m {
+            let slot = st.slot_at(pos);
+            let load = st.load(slot);
+            if load < floor || (count > 0 && load.total_cmp(&prev).is_eq()) {
+                continue;
+            }
+            cands[count] = slot;
+            count += 1;
+            prev = load;
+        }
+        count
+    }
+
+    /// The loads after placing the sorted jobs `..prefix.len()` on the
+    /// processors `prefix` names, and the `floor` to resume
+    /// [`descend`] with at depth `prefix.len()`: the load the last
+    /// prefix job's processor had before it (`f64::NEG_INFINITY` for an
+    /// empty prefix).
+    pub(crate) fn replay(&self, prefix: &[usize]) -> (SortedLoads, f64) {
+        let mut st = SortedLoads::new(self.m, self.alpha);
+        let mut floor = f64::NEG_INFINITY;
+        for (k, &p) in prefix.iter().enumerate() {
+            floor = st.raise(p, st.load(p) + self.sorted[k]).0;
+        }
+        (st, floor)
+    }
+
     /// Map sorted-position labels back to the caller's job order.
     pub(crate) fn unsort_labels(&self, labels: &[usize]) -> Vec<usize> {
         let mut out = vec![0usize; labels.len()];
@@ -288,16 +347,22 @@ impl Incumbent for SeqIncumbent {
 
 /// Explore the subtree with jobs `k..` unassigned. `st` holds the loads
 /// committed by jobs `..k` (already labelled in `labels[..k]`);
+/// `floor` is the load job `k − 1`'s processor had *before* job `k − 1`
+/// joined it (`f64::NEG_INFINITY` at the root); if job `k` equals job
+/// `k − 1`, it only branches onto processors loaded at least `floor`
+/// ([`SearchCore::candidates`]).
 /// `scratch` is a preallocated `(n − k) · m` candidate buffer so the hot
 /// path never allocates. The `gate` meters the budget: prune checks run
 /// *first* (so the gate never alters which nodes an exact run visits),
 /// then the gate ticks; on exhaustion the subtree's relaxation bound is
 /// recorded so the caller can certify its incumbent's gap.
+#[allow(clippy::too_many_arguments)] // the recursion carries its whole state explicitly
 pub(crate) fn descend<I: Incumbent, G: SearchGate>(
     core: &SearchCore,
     st: &mut SortedLoads,
     labels: &mut [usize],
     k: usize,
+    floor: f64,
     scratch: &mut [usize],
     inc: &mut I,
     gate: &mut G,
@@ -326,29 +391,13 @@ pub(crate) fn descend<I: Incumbent, G: SearchGate>(
         st.lower_to(p, saved);
         return;
     }
-    // Snapshot the branch candidates before mutating: the first
-    // processor of each equal-load run, in ascending load order.
-    // Equal-load processors are interchangeable for the remaining
-    // subproblem (it depends only on the load multiset), so trying one
-    // per run preserves an optimal leaf; ascending order finds strong
-    // incumbents early.
+    // Snapshot the branch candidates before mutating.
     let (cands, rest) = scratch.split_at_mut(core.m);
-    let mut count = 0usize;
-    let mut prev = f64::NAN;
-    for pos in 0..core.m {
-        let slot = st.slot_at(pos);
-        let load = st.load(slot);
-        if count > 0 && load.total_cmp(&prev).is_eq() {
-            continue;
-        }
-        cands[count] = slot;
-        count += 1;
-        prev = load;
-    }
+    let count = core.candidates(st, k, floor, cands);
     for &p in &cands[..count] {
         let saved = st.raise(p, st.load(p) + w);
         labels[k] = p;
-        descend(core, st, labels, k + 1, rest, inc, gate);
+        descend(core, st, labels, k + 1, saved.0, rest, inc, gate);
         st.lower_to(p, saved);
     }
 }
@@ -834,6 +883,40 @@ mod tests {
                 // Finished within budget: must be the true optimum.
                 assert!((norm - opt).abs() <= 1e-9 * opt.max(1.0));
             }
+        }
+    }
+
+    #[test]
+    fn identical_job_dominance_proves_each_load_multiset_once() {
+        // Duplicate-heavy witnesses. Without the dominance rule the search
+        // re-proves every ordering of the identical jobs: 124,213 nodes
+        // for the first and 7,219 for the second. With it they take
+        // 102 and 132, so a 1,000-node cap only holds with the rule.
+        // Both optima are the most balanced loads on the 0.5 grid:
+        // {5.5, 5.5, 5.5, 5} and {8.5, 8.5, 8}.
+        let mut first = vec![1.5; 9];
+        first.extend([1.0; 8]);
+        let mut second = vec![2.5; 5];
+        second.extend([1.5; 5]);
+        second.extend([1.0; 5]);
+        for (works, m, opt) in [
+            (first, 4usize, 3.0 * 5.5f64.powi(3) + 125.0),
+            (second, 3, 2.0 * 8.5f64.powi(3) + 512.0),
+        ] {
+            let out = min_norm_assignment_budgeted(&works, m, 3.0, &SolveBudget::nodes(1_000));
+            let n = works.len();
+            assert!(!out.is_degraded(), "n={n} m={m}: exceeded 1,000 nodes");
+            let (labels, norm) = out.into_value();
+            assert!(
+                (norm - opt).abs() <= 1e-9 * opt,
+                "n={n} m={m}: {norm} vs {opt}"
+            );
+            let mut loads = vec![0.0f64; m];
+            for (w, &p) in works.iter().zip(&labels) {
+                loads[p] += w;
+            }
+            let realized: f64 = loads.iter().map(|l| l.powi(3)).sum();
+            assert!((realized - norm).abs() <= 1e-9 * norm);
         }
     }
 

@@ -9,12 +9,19 @@
 //! duplicate-weight job families, including `m > n` and single-job
 //! edge cases. Each returned labelling must also *realize* its claimed
 //! norm.
+//!
+//! Instances with forced duplicate works (all equal, two values, grid
+//! snapped) are also checked against an `m^n` enumeration, because the
+//! search prunes orderings of identical jobs: there the exact, parallel
+//! and node-budgeted solvers must all agree with the enumeration.
 
+use power_aware_scheduling::budget::SolveBudget;
 use power_aware_scheduling::multi::parallel::{
     min_norm_assignment_parallel, min_norm_assignment_parallel_with,
 };
 use power_aware_scheduling::multi::partition::{
-    local_search, lpt_assignment, min_norm_assignment, min_norm_assignment_reference,
+    local_search, lpt_assignment, min_norm_assignment, min_norm_assignment_budgeted,
+    min_norm_assignment_reference,
 };
 use proptest::prelude::*;
 
@@ -46,18 +53,92 @@ fn check_engines(works: &[f64], m: usize, alpha: f64, label: &str) -> f64 {
         ("incremental", &inc_labels, inc),
         ("parallel", &par_labels, par),
     ] {
-        let mut loads = vec![0.0f64; m];
-        for (w, &p) in works.iter().zip(labels) {
-            assert!(p < m, "{label}: {engine} label {p} out of range");
-            loads[p] += w;
-        }
-        let realized: f64 = loads.iter().map(|l| l.powf(alpha)).sum();
+        let realized = realized_norm(works, labels, m, alpha);
         assert!(
             (realized - norm).abs() <= NORM_TOL * norm.max(1.0),
             "{label}: {engine} claims {norm} but realizes {realized}"
         );
     }
     inc
+}
+
+/// `Σ L_p^α` realized by a labelling.
+fn realized_norm(works: &[f64], labels: &[usize], m: usize, alpha: f64) -> f64 {
+    let mut loads = vec![0.0f64; m];
+    for (w, &p) in works.iter().zip(labels) {
+        assert!(p < m, "label {p} out of range");
+        loads[p] += w;
+    }
+    loads.iter().map(|l| l.powf(alpha)).sum()
+}
+
+/// The optimum by enumerating all `m^n` labellings.
+fn brute_force_min_norm(works: &[f64], m: usize, alpha: f64) -> f64 {
+    fn go(k: usize, works: &[f64], loads: &mut [f64], alpha: f64, best: &mut f64) {
+        if k == works.len() {
+            *best = best.min(loads.iter().map(|l| l.powf(alpha)).sum());
+            return;
+        }
+        for p in 0..loads.len() {
+            let saved = loads[p];
+            loads[p] += works[k];
+            go(k + 1, works, loads, alpha, best);
+            loads[p] = saved;
+        }
+    }
+    let mut best = f64::INFINITY;
+    go(0, works, &mut vec![0.0; m], alpha, &mut best);
+    best
+}
+
+/// The sequential, parallel (3 workers) and `nodes`-budgeted solvers
+/// against the enumeration: exact norms equal the optimum, labellings
+/// realize their norms, and a degraded run's certificate brackets the
+/// optimum.
+fn check_against_brute_force(works: &[f64], m: usize, alpha: f64, nodes: u64, label: &str) {
+    let opt = brute_force_min_norm(works, m, alpha);
+    let tol = NORM_TOL * opt.max(1.0);
+    for (engine, (labels, norm)) in [
+        ("incremental", min_norm_assignment(works, m, alpha)),
+        (
+            "parallel(3)",
+            min_norm_assignment_parallel_with(works, m, alpha, 3),
+        ),
+    ] {
+        assert!(
+            (norm - opt).abs() <= tol,
+            "{label}: {engine} {norm} vs brute force {opt}"
+        );
+        let realized = realized_norm(works, &labels, m, alpha);
+        assert!(
+            (realized - norm).abs() <= tol,
+            "{label}: {engine} claims {norm} but realizes {realized}"
+        );
+    }
+    let out = min_norm_assignment_budgeted(works, m, alpha, &SolveBudget::nodes(nodes));
+    let (labels, norm) = out.value();
+    let realized = realized_norm(works, labels, m, alpha);
+    assert!(
+        (realized - norm).abs() <= tol,
+        "{label}: budgeted({nodes}) claims {norm} but realizes {realized}"
+    );
+    match out.degradation() {
+        Some(d) => {
+            assert!(
+                d.lower_bound <= opt + tol,
+                "{label}: budgeted({nodes}) bound {} above optimum {opt}",
+                d.lower_bound
+            );
+            assert!(
+                *norm >= opt - tol,
+                "{label}: budgeted({nodes}) incumbent {norm} below optimum {opt}"
+            );
+        }
+        None => assert!(
+            (norm - opt).abs() <= tol,
+            "{label}: budgeted({nodes}) exact {norm} vs brute force {opt}"
+        ),
+    }
 }
 
 #[test]
@@ -133,5 +214,44 @@ proptest! {
         let table = [0.5, 1.25, 2.0];
         let works: Vec<f64> = picks.iter().map(|&i| table[i]).collect();
         check_engines(&works, m, 3.0, "proptest duplicates");
+    }
+
+    #[test]
+    fn all_equal_works_match_brute_force(
+        w in 0.2f64..3.0,
+        n in 1usize..11,
+        m in 1usize..5,
+        alpha in 2usize..4,
+        nodes in 0u64..40,
+    ) {
+        let works = vec![w; n];
+        check_against_brute_force(&works, m, alpha as f64, nodes, "all-equal");
+    }
+
+    #[test]
+    fn two_valued_works_match_brute_force(
+        values in (0.2f64..3.0, 0.2f64..3.0),
+        picks in proptest::collection::vec(0usize..2, 1..11),
+        m in 1usize..5,
+        alpha in 2usize..4,
+        nodes in 0u64..40,
+    ) {
+        let works: Vec<f64> = picks
+            .iter()
+            .map(|&i| if i == 0 { values.0 } else { values.1 })
+            .collect();
+        check_against_brute_force(&works, m, alpha as f64, nodes, "two-valued");
+    }
+
+    #[test]
+    fn grid_snapped_works_match_brute_force(
+        raw in proptest::collection::vec(0.2f64..3.0, 1..11),
+        m in 1usize..5,
+        alpha in 2usize..4,
+        nodes in 0u64..40,
+    ) {
+        // Snapped to a 0.25 grid: a handful of distinct works, repeated.
+        let works: Vec<f64> = raw.iter().map(|w| (w / 0.25).round() * 0.25).collect();
+        check_against_brute_force(&works, m, alpha as f64, nodes, "grid-snapped");
     }
 }

@@ -202,8 +202,9 @@ proptest! {
 
 /// The quantized-work witness family from the B&B acceptance sweep:
 /// `0.5 + (3.0/levels)·(lcg(seed)>>33 mod levels)`. Coarse grids
-/// (`levels ≤ 6`) maximize near-ties, the adversarial case for the
-/// incremental engine's dominance pruning.
+/// (`levels ≤ 6`) repeat works, which the exact search's identical-job
+/// dominance collapses; fine grids (`levels ≈ 1000`) make nearly every
+/// work distinct, the hard case for the branch and bound.
 fn quantized_works(n: usize, levels: u64, seed: u64) -> Vec<f64> {
     let step = 3.0 / levels as f64;
     let mut state = seed;
@@ -229,9 +230,10 @@ fn realized_norm(works: &[f64], labels: &[usize], m: usize, alpha: f64) -> f64 {
 
 #[test]
 fn wall_budget_degrades_within_twice_the_budget() {
-    // Hard witness: coarse grid, many jobs — the exact search needs far
-    // longer than the 150ms budget.
-    let works = quantized_works(40, 4, 7);
+    // Hard witness: fine grid, many jobs — nearly every work is
+    // distinct, so identical-job dominance cannot collapse the search
+    // and it needs far longer than the 150ms budget.
+    let works = quantized_works(40, 1000, 7);
     let (m, alpha) = (10, 3.0);
     let budget = SolveBudget {
         wall: Some(Duration::from_millis(150)),
@@ -260,7 +262,7 @@ fn wall_budget_degrades_within_twice_the_budget() {
                 d.lower_bound
             );
         }
-        Budgeted::Exact(_) => panic!("40-job coarse-grid witness finished exactly in 150ms"),
+        Budgeted::Exact(_) => panic!("40-job fine-grid witness finished exactly in 150ms"),
     }
 }
 
