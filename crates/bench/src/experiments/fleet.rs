@@ -5,7 +5,9 @@
 //! workload of roughly `jobs_per_host` jobs per host. For each host
 //! count the sweep records wall time of a full deterministic run plus
 //! the fleet-level outcome: dynamic/static energy, flow, makespan,
-//! sleeps, sheds, and the fleet digest. The shape to expect: wall time
+//! sleeps, sheds, and the fleet digest, and, beside the run's own
+//! phases, the time to serialize its trace and parse it back (the read
+//! path's text layers). The shape to expect: wall time
 //! grows roughly linearly in total job count (each host's engine run is
 //! linear in its own queue, dispatch is `O(log hosts)` per event),
 //! static energy grows with host count (more idle floors to pay), and
@@ -21,7 +23,9 @@ use std::time::Instant;
 
 use crate::bench_file::{f3, f6, BenchFile};
 use crate::harness::{fmt, CsvTable, Tier};
-use pas_fleet::{run, DispatchPolicy, EnginePower, FleetScenario, HostConfig, HostPolicy};
+use pas_fleet::{
+    run, DispatchPolicy, EnginePower, EventTrace, FleetScenario, HostConfig, HostPolicy,
+};
 use pas_power::{DiscreteSpeeds, HostPower, PolyPower, SleepConfig};
 use pas_sim::journal::outcome_digest;
 use pas_sim::run_online_with_faults;
@@ -48,6 +52,11 @@ pub struct FleetScalingPoint {
     pub execute_ms: f64,
     /// Id-order aggregation + digest fold wall time.
     pub reduce_ms: f64,
+    /// `EventTrace::serialize` of the run's trace (the read path's
+    /// first step, outside `wall_ms`).
+    pub serialize_ms: f64,
+    /// `EventTrace::parse` of that text (outside `wall_ms`).
+    pub parse_ms: f64,
     /// Engine-metered dynamic energy across the fleet.
     pub dynamic_energy: f64,
     /// Idle/sleep static energy across the fleet.
@@ -147,6 +156,14 @@ pub fn fleet_scaling(
             let t = Instant::now();
             let out = run(&scenario).expect("fleet run succeeds");
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            let t = Instant::now();
+            let text = out.trace.serialize();
+            let serialize_ms = t.elapsed().as_secs_f64() * 1e3;
+            let t = Instant::now();
+            let parsed = EventTrace::parse(&text).expect("a serialized trace parses");
+            let parse_ms = t.elapsed().as_secs_f64() * 1e3;
+            debug_assert_eq!(parsed, out.trace);
+            std::hint::black_box(parsed);
             points.push(FleetScalingPoint {
                 hosts,
                 jobs: workload.len(),
@@ -157,6 +174,8 @@ pub fn fleet_scaling(
                 partition_ms: out.timings.partition_ms,
                 execute_ms: out.timings.execute_ms,
                 reduce_ms: out.timings.reduce_ms,
+                serialize_ms,
+                parse_ms,
                 dynamic_energy: out.dynamic_energy,
                 static_energy: out.static_energy,
                 total_flow: out.total_flow,
@@ -209,6 +228,8 @@ pub fn fleet_table(points: &[FleetScalingPoint]) -> CsvTable {
             "partition_ms",
             "execute_ms",
             "reduce_ms",
+            "serialize_ms",
+            "parse_ms",
             "dynamic_energy",
             "static_energy",
             "total_flow",
@@ -230,6 +251,8 @@ pub fn fleet_table(points: &[FleetScalingPoint]) -> CsvTable {
             fmt(p.partition_ms),
             fmt(p.execute_ms),
             fmt(p.reduce_ms),
+            fmt(p.serialize_ms),
+            fmt(p.parse_ms),
             fmt(p.dynamic_energy),
             fmt(p.static_energy),
             fmt(p.total_flow),
@@ -268,6 +291,8 @@ pub fn fleet_record(points: &[FleetScalingPoint], equivalence: bool) -> BenchFil
                 ("partition_ms", f3(p.partition_ms)),
                 ("execute_ms", f3(p.execute_ms)),
                 ("reduce_ms", f3(p.reduce_ms)),
+                ("serialize_ms", f3(p.serialize_ms)),
+                ("parse_ms", f3(p.parse_ms)),
                 ("dynamic_energy", f6(p.dynamic_energy)),
                 ("static_energy", f6(p.static_energy)),
                 ("total_flow", f6(p.total_flow)),

@@ -523,12 +523,13 @@ pub struct MultiScalingPoint {
     pub spec: MultiPointSpec,
     /// Incremental `min_norm_assignment` seconds (min over repeats).
     pub incremental_s: f64,
-    /// Repeats behind `incremental_s`.
+    /// Repeats behind `incremental_s` and `parallel_s`.
     pub incremental_repeats: usize,
     /// The optimal `L_α` norm the incremental engine found.
     pub incremental_norm: f64,
-    /// Work-deque `min_norm_assignment_parallel` seconds (collapses to
-    /// the sequential engine on single-core machines).
+    /// Work-deque `min_norm_assignment_parallel` seconds, min over the
+    /// same repeats as `incremental_s` so their ratio compares like with
+    /// like (collapses to the sequential engine on single-core machines).
     pub parallel_s: f64,
     /// Seed `min_norm_assignment_reference` seconds: the measured wall
     /// time when it completed, the exhausted budget when censored,
@@ -627,8 +628,9 @@ pub fn multi_scaling(specs: &[MultiPointSpec]) -> Vec<MultiScalingPoint> {
             let ((_, inc_norm), incremental_s) = time_min(incremental_repeats, || {
                 min_norm_assignment(&works, spec.m, alpha)
             });
-            let ((_, par_norm), parallel_s) =
-                time_min(1, || min_norm_assignment_parallel(&works, spec.m, alpha));
+            let ((_, par_norm), parallel_s) = time_min(incremental_repeats, || {
+                min_norm_assignment_parallel(&works, spec.m, alpha)
+            });
             MultiScalingPoint {
                 spec,
                 incremental_s,

@@ -145,6 +145,15 @@ fn gaps_within(points: &[Value], key: &str, tol: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// `key` is a non-negative time on every point.
+fn timed(points: &[Value], key: &str) -> Result<(), String> {
+    for (i, p) in points.iter().enumerate() {
+        let ms: f64 = at(p, key)?;
+        ensure!(ms >= 0.0, "point {i}: {key} {ms} is not a time");
+    }
+    Ok(())
+}
+
 /// `key` is above zero on every point.
 fn positive(points: &[Value], key: &str) -> Result<(), String> {
     for (i, p) in points.iter().enumerate() {
@@ -242,7 +251,10 @@ fn fleet_gate(doc: &Value, _: &Path) -> Result<(), String> {
         "1-host fleet no longer bit-identical to the bare engine"
     );
     positive(&points, "completed_jobs")?;
-    positive(&points, "dynamic_energy")
+    positive(&points, "dynamic_energy")?;
+    // The read path's text layers, recorded beside the run's phases.
+    timed(&points, "serialize_ms")?;
+    timed(&points, "parse_ms")
 }
 
 fn fleet_par_gate(doc: &Value, dir: &Path) -> Result<(), String> {
@@ -411,6 +423,10 @@ mod tests {
             fleet_gate(&doc, Path::new(".")),
             "point 0: no completed_jobs",
         );
+        for key in ["serialize_ms", "parse_ms"] {
+            let doc = doctored(FLEET, &format!("\"{key}\": "), "\"dropped\": ");
+            fails(fleet_gate(&doc, Path::new(".")), key);
+        }
     }
 
     #[test]

@@ -316,6 +316,8 @@ fn fleet() -> Vec<FleetScalingPoint> {
         partition_ms: 0.010_06,
         execute_ms: 0.983,
         reduce_ms: 0.077_5,
+        serialize_ms: 0.021_4,
+        parse_ms: 0.040_9,
         dynamic_energy: 166.253_902_2,
         static_energy: 68.571_474,
         total_flow: 137.838_338,

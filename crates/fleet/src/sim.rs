@@ -569,20 +569,22 @@ fn execute(
     let static_energy: f64 = reports.iter().map(|r| r.static_energy).sum();
     let total_flow: f64 = reports.iter().map(|r| r.total_flow).sum();
     let makespan = reports.iter().map(|r| r.makespan).fold(0.0, f64::max);
+    // The effective instance holds exactly the jobs that executed work,
+    // and the schedule validates against it: one job per scheduled id.
     let completed_jobs = reports
         .iter()
-        .map(|r| {
-            r.outcome
-                .as_ref()
-                .map(|o| o.schedule.completion_times().len())
-                .unwrap_or(0)
+        .filter_map(|r| r.outcome.as_ref())
+        .map(|o| {
+            let n = o.effective.as_ref().map_or(0, |inst| inst.len());
+            debug_assert_eq!(n, o.schedule.completion_times().len());
+            n
         })
         .sum();
 
-    // Hash the serialized trace as it is written: the same bytes as
+    // Hash the serialized trace chunk by chunk: the same bytes as
     // `trace.serialize()`, without building the String.
     let mut fnv = Fnv::new();
-    trace.write_to(&mut fnv).expect("hashing cannot fail");
+    trace.hash_into(&mut fnv);
     for r in &reports {
         fnv.u64(u64::from(r.host));
         fnv.u64(r.digest);
@@ -744,6 +746,28 @@ mod tests {
             let replayed = replay_with(&s, &base.trace, workers).unwrap();
             assert_eq!(replayed.digest, base.digest);
         }
+    }
+
+    #[test]
+    fn completed_jobs_counts_the_effective_instances() {
+        // Cancellations, lost-progress crashes, bursts and an SLO: the
+        // effective instances differ from the assigned jobs, and their
+        // sizes must still equal the jobs the schedules ran.
+        let mut s = FleetScenario::new(hosts(4), workload(60), 60.0, 5);
+        s.fault_model = Some(FaultModel::uniform_mix(0.4));
+        s.slo = Some(6.0);
+        let out = run_with(&s, 1).unwrap();
+        let mut reshaped = false;
+        let mut total = 0;
+        for h in &out.hosts {
+            let o = h.outcome.as_ref().expect("every host ran jobs");
+            let effective = o.effective.as_ref().map_or(0, |inst| inst.len());
+            assert_eq!(effective, o.schedule.completion_times().len(), "{}", h.host);
+            reshaped |= effective != h.jobs_assigned;
+            total += effective;
+        }
+        assert!(reshaped, "the faults never changed a host's job set");
+        assert_eq!(out.completed_jobs, total);
     }
 
     #[test]

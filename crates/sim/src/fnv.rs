@@ -4,13 +4,9 @@
 //! all fold through this type, so every digest in the workspace shares
 //! one byte-level definition. Integers hash as their little-endian
 //! bytes and floats as their IEEE-754 bit patterns, so a digest is a
-//! function of exact bits, never of formatting.
-//!
-//! [`Fnv`] also implements [`std::fmt::Write`]: formatted text can be
-//! hashed as it is produced, byte-identical to hashing the finished
-//! `String`, without building that `String`.
-
-use std::fmt;
+//! function of exact bits, never of formatting. Text is hashed as its
+//! bytes through [`Fnv::bytes`]; the fleet trace folds its canonical
+//! encoding in fixed-size chunks rather than building the whole text.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -55,17 +51,9 @@ impl Fnv {
     }
 }
 
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn matches_published_fnv1a_vectors() {
@@ -87,15 +75,5 @@ mod tests {
         b.bytes(&[8, 7, 6, 5, 4, 3, 2, 1]);
         b.bytes(&1.5f64.to_bits().to_le_bytes());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn formatted_writes_hash_the_same_bytes_as_the_string() {
-        let text = format!("ev {:016x} join {}\n", 2.5f64.to_bits(), 17);
-        let mut streamed = Fnv::new();
-        writeln!(streamed, "ev {:016x} join {}", 2.5f64.to_bits(), 17).unwrap();
-        let mut whole = Fnv::new();
-        whole.bytes(text.as_bytes());
-        assert_eq!(streamed, whole);
     }
 }

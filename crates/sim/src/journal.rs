@@ -31,7 +31,8 @@
 //! Decision records are nearly every line of a journal, so the reader
 //! decodes them straight from bytes: `decode_decision` is a scanner for
 //! exactly the grammar `encode_decision` writes (fixed key order, no
-//! whitespace, no leading zeros, lowercase 16-hex floats). Any line it
+//! whitespace, no leading zeros, lowercase 16-hex floats), both built on
+//! the byte codec of [`pas_workload::io`] that the fleet trace shares. Any line it
 //! does not recognise — headers, snapshots, or a decision written some
 //! other way — falls back to the general JSON `parse_record`, so the
 //! scanner changes speed, never which lines are accepted or what they
@@ -50,11 +51,10 @@ use crate::online::{
 };
 use crate::schedule::Schedule;
 use crate::slice::Slice;
-use pas_workload::io::{f64_from_hex, f64_to_hex};
+use pas_workload::io::{f64_from_hex, f64_to_hex, push_hex16, push_u64, Cursor};
 use pas_workload::Job;
 use serde::Value;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -750,14 +750,14 @@ enum Sink {
 }
 
 impl Sink {
-    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
+    fn write_line(&mut self, line: &[u8]) -> Result<(), JournalError> {
         match self {
             Sink::Memory(s) => {
-                s.push_str(line);
+                s.push_str(std::str::from_utf8(line).expect("journal lines are ASCII"));
                 s.push('\n');
             }
             Sink::File(w) => {
-                w.write_all(line.as_bytes()).map_err(io_err)?;
+                w.write_all(line).map_err(io_err)?;
                 w.write_all(b"\n").map_err(io_err)?;
                 // Flush per record: a kill can tear at most one line.
                 w.flush().map_err(io_err)?;
@@ -773,7 +773,7 @@ pub struct Journal {
     records: u64,
     path: Option<PathBuf>,
     /// Reused line buffer for decision records (the per-step write).
-    scratch: String,
+    scratch: Vec<u8>,
 }
 
 impl Journal {
@@ -782,7 +782,7 @@ impl Journal {
             sink,
             records: 0,
             path,
-            scratch: String::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -838,7 +838,7 @@ impl Journal {
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.sink.write_line(line)?;
+        self.sink.write_line(line.as_bytes())?;
         self.records += 1;
         Ok(())
     }
@@ -879,105 +879,75 @@ impl Journal {
 // else, so every decoded value round-trips bit for bit.
 
 /// Append `rec` as one journal line (no newline) to `out`.
-fn encode_decision(out: &mut String, rec: &DecisionRecord) {
-    let _ = write!(
-        out,
-        "{{\"t\":\"dec\",\"s\":{},\"c\":{},\"w\":{}",
-        rec.seq, rec.consulted, rec.tripped
-    );
+fn encode_decision(out: &mut Vec<u8>, rec: &DecisionRecord) {
+    let flag = |b: bool| -> &[u8] {
+        if b {
+            b"true"
+        } else {
+            b"false"
+        }
+    };
+    out.extend_from_slice(b"{\"t\":\"dec\",\"s\":");
+    push_u64(out, rec.seq);
+    out.extend_from_slice(b",\"c\":");
+    out.extend_from_slice(flag(rec.consulted));
+    out.extend_from_slice(b",\"w\":");
+    out.extend_from_slice(flag(rec.tripped));
     match &rec.decision {
         Some(d) => {
-            let _ = write!(out, ",\"j\":{},\"v\":\"{:016x}\"", d.job, d.speed.to_bits());
+            out.extend_from_slice(b",\"j\":");
+            push_u64(out, d.job.into());
+            out.extend_from_slice(b",\"v\":\"");
+            push_hex16(out, d.speed.to_bits());
             if let Some(r) = d.recheck_after {
-                let _ = write!(out, ",\"r\":\"{:016x}\"", r.to_bits());
+                out.extend_from_slice(b"\",\"r\":\"");
+                push_hex16(out, r.to_bits());
             }
+            out.extend_from_slice(b"\"}");
         }
-        None => out.push_str(",\"j\":null"),
+        None => out.extend_from_slice(b",\"j\":null}"),
     }
-    out.push('}');
 }
 
 /// Decode a line `encode_decision` wrote; `None` for any other line.
 fn decode_decision(line: &str) -> Option<DecisionRecord> {
-    let mut s = Scan(line.as_bytes());
-    s.tag(b"{\"t\":\"dec\",\"s\":")?;
-    let seq = s.uint(1 << 53)?;
-    s.tag(b",\"c\":")?;
-    let consulted = s.boolean()?;
-    s.tag(b",\"w\":")?;
-    let tripped = s.boolean()?;
-    s.tag(b",\"j\":")?;
-    let decision = if s.tag(b"null").is_some() {
+    let flag = |c: &mut Cursor| match c.tag(b"true") {
+        Some(()) => Some(true),
+        None => c.tag(b"false").map(|()| false),
+    };
+    let mut c = Cursor::new(line.as_bytes());
+    c.tag(b"{\"t\":\"dec\",\"s\":")?;
+    let seq = c.u64_dec(1 << 53)?;
+    c.tag(b",\"c\":")?;
+    let consulted = flag(&mut c)?;
+    c.tag(b",\"w\":")?;
+    let tripped = flag(&mut c)?;
+    c.tag(b",\"j\":")?;
+    let decision = if c.tag(b"null").is_some() {
         None
     } else {
-        let job = s.uint(u64::from(u32::MAX))? as u32;
-        s.tag(b",\"v\":")?;
-        let speed = s.hex_f64()?;
-        let recheck_after = match s.tag(b",\"r\":") {
-            Some(()) => Some(s.hex_f64()?),
+        let job = u32::try_from(c.u64_dec(u32::MAX.into())?).ok()?;
+        c.tag(b",\"v\":\"")?;
+        let speed = f64::from_bits(c.hex16()?);
+        let recheck_after = match c.tag(b"\",\"r\":\"") {
+            Some(()) => Some(f64::from_bits(c.hex16()?)),
             None => None,
         };
+        c.tag(b"\"")?;
         Some(Decision {
             job,
             speed,
             recheck_after,
         })
     };
-    s.tag(b"}")?;
-    s.0.is_empty().then_some(DecisionRecord {
+    c.tag(b"}")?;
+    c.end()?;
+    Some(DecisionRecord {
         seq,
         decision,
         consulted,
         tripped,
     })
-}
-
-/// A cursor over the unread bytes of a decision line.
-struct Scan<'a>(&'a [u8]);
-
-impl Scan<'_> {
-    fn tag(&mut self, tag: &[u8]) -> Option<()> {
-        self.0 = self.0.strip_prefix(tag)?;
-        Some(())
-    }
-
-    /// A decimal without leading zeros, at most `max` (≤ 2^53, so 16
-    /// digits cannot overflow).
-    fn uint(&mut self, max: u64) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if len == 0 || len > 16 || (len > 1 && digits[0] == b'0') {
-            return None;
-        }
-        let x = digits
-            .iter()
-            .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
-        self.0 = rest;
-        (x <= max).then_some(x)
-    }
-
-    fn boolean(&mut self) -> Option<bool> {
-        if self.tag(b"true").is_some() {
-            Some(true)
-        } else {
-            self.tag(b"false").map(|()| false)
-        }
-    }
-
-    /// A quoted 16-digit lowercase hex f64 bit pattern.
-    fn hex_f64(&mut self) -> Option<f64> {
-        let digits = self.0.get(1..17)?;
-        if self.0[0] != b'"'
-            || self.0.get(17) != Some(&b'"')
-            || !digits
-                .iter()
-                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        {
-            return None;
-        }
-        self.0 = &self.0[18..];
-        f64_from_hex(std::str::from_utf8(digits).ok()?)
-    }
 }
 
 /// Parse a journal's records. A malformed or truncated *final* line is
@@ -1179,9 +1149,9 @@ mod tests {
     }
 
     fn encoded(rec: &DecisionRecord) -> String {
-        let mut line = String::new();
+        let mut line = Vec::new();
         encode_decision(&mut line, rec);
-        line
+        String::from_utf8(line).unwrap()
     }
 
     #[test]
@@ -1472,16 +1442,20 @@ mod tests {
     }
 
     #[test]
-    fn a_short_hex_float_is_now_malformed() {
+    fn a_short_or_signed_hex_float_is_malformed() {
         let mut j = Journal::memory();
         j.write_header(1, 0, 1).unwrap();
         let good = j.contents().unwrap().to_string();
         let short = r#"{"t":"dec","s":1,"c":true,"w":false,"j":0,"v":"3ff000000000000"}"#;
+        // `from_str_radix` would read the sign; a bit pattern has none.
+        let signed = r#"{"t":"dec","s":1,"c":true,"w":false,"j":0,"v":"+ff0000000000000"}"#;
         let tail = encoded(&dec(2, None));
-        assert!(matches!(
-            read_records(&format!("{good}{short}\n{tail}\n")),
-            Err(JournalError::Malformed { line: 2, .. })
-        ));
+        for bad in [short, signed] {
+            assert!(matches!(
+                read_records(&format!("{good}{bad}\n{tail}\n")),
+                Err(JournalError::Malformed { line: 2, .. })
+            ));
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!   [`online::run_online_with_faults`], costed by a
 //!   [`faults::ResilienceReport`].
 //! * [`Fnv`] — the one FNV-1a hasher behind every digest in the
-//!   workspace (journal, outcome, scenario, fleet); it also hashes
-//!   formatted text as a [`std::fmt::Write`] sink.
+//!   workspace (journal, outcome, scenario, fleet), folding exact bytes
+//!   and bits, never formatted text.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
