@@ -175,8 +175,7 @@ fn flow_gate(doc: &Value, _: &Path) -> Result<(), String> {
 
 fn multi_gate(doc: &Value, _: &Path) -> Result<(), String> {
     let points = points(doc, "multi_incremental_bb")?;
-    gaps_within(&points, "norm_rel_gap", EXACT_GAP)?;
-    gaps_within(&points, "parallel_rel_gap", EXACT_GAP)
+    gaps_within(&points, "norm_rel_gap", EXACT_GAP)
 }
 
 fn oa_gate(doc: &Value, _: &Path) -> Result<(), String> {
@@ -465,13 +464,10 @@ mod tests {
         fails(oa_gate(&doc, Path::new(".")), "point 0: energy_rel_gap");
         let doc = doctored(
             committed!("BENCH_multi.json"),
-            "\"parallel_rel_gap\": 0.000e0",
-            "\"parallel_rel_gap\": 1.000e-3",
+            "\"norm_rel_gap\": 0.000e0",
+            "\"norm_rel_gap\": 1.000e-3",
         );
-        fails(
-            multi_gate(&doc, Path::new(".")),
-            "point 0: parallel_rel_gap",
-        );
+        fails(multi_gate(&doc, Path::new(".")), "point 0: norm_rel_gap");
         let doc = doctored(
             committed!("BENCH_flow.json"),
             "\"curve_max_energy_rel_gap\": 5.012e-13",

@@ -185,33 +185,27 @@ fn multi() -> Vec<MultiScalingPoint> {
             incremental_s: 0.000_018_2,
             incremental_repeats: 3,
             incremental_norm: 12.5,
-            parallel_s: 0.000_090_4,
             reference_s: Some(0.003_046_1),
             reference_censored: false,
             norm_rel_gap: Some(0.0),
-            parallel_rel_gap: 1.25e-17,
         },
         MultiScalingPoint {
             spec: spec(24, 8, 12, 4, 900.0),
             incremental_s: 0.009_5,
             incremental_repeats: 3,
             incremental_norm: 40.0,
-            parallel_s: 0.009_409,
             reference_s: Some(900.0),
             reference_censored: true,
             norm_rel_gap: None,
-            parallel_rel_gap: 0.0,
         },
         MultiScalingPoint {
             spec: spec(40, 8, 12, 2, 0.0),
             incremental_s: 0.25,
             incremental_repeats: 1,
             incremental_norm: 99.0,
-            parallel_s: 0.125,
             reference_s: None,
             reference_censored: false,
             norm_rel_gap: None,
-            parallel_rel_gap: 3.0e-9,
         },
     ]
 }

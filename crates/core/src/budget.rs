@@ -1,11 +1,13 @@
 //! Solve budgets and certified graceful degradation.
 //!
-//! Theorem 11 makes the exact multiprocessor assignment NP-hard, so any
-//! caller with a latency obligation (the fleet simulator, the serving
-//! engine) needs the branch and bound to be *interruptible*: stop at a
-//! wall-clock or node budget and hand back the best incumbent **with a
-//! certified bound gap**, rather than either running unbounded or
-//! returning an unqualified heuristic.
+//! Theorem 11 makes the exact multiprocessor assignment NP-hard, so a
+//! caller with a latency obligation needs the branch and bound to be
+//! *interruptible*: stop at a wall-clock or node budget and hand back
+//! the best incumbent **with a certified bound gap**, rather than either
+//! running unbounded or returning an unqualified heuristic. Today only
+//! tests call the budgeted search (`tests/resilience.rs`,
+//! `tests/partition_equivalence.rs`); every library caller runs it
+//! unlimited.
 //!
 //! The contract of [`Budgeted`]:
 //!
@@ -131,22 +133,6 @@ impl<T> Budgeted<T> {
     }
 }
 
-/// How a branch-and-bound run consumes its budget. Implemented by the
-/// sequential [`BudgetGate`] and the per-worker view of a
-/// [`SharedGate`]; threaded through `descend` so both solvers share one
-/// search body.
-pub(crate) trait SearchGate {
-    /// Account one search node. `false` means the budget is exhausted:
-    /// the caller must stop descending and report the subtree it is
-    /// abandoning via [`SearchGate::abandon`].
-    fn tick(&mut self) -> bool;
-
-    /// Record the relaxation bound of a subtree abandoned because of
-    /// exhaustion (NOT because of pruning). The minimum over these,
-    /// combined with the incumbent, is the certified lower bound.
-    fn abandon(&mut self, bound: f64);
-}
-
 /// How often ticks consult the wall clock (`Instant::now` is ~20ns but
 /// nodes are ~100ns; every node would be a measurable tax).
 const WALL_CHECK_PERIOD: u64 = 2048;
@@ -176,27 +162,10 @@ impl BudgetGate {
         }
     }
 
-    pub(crate) fn nodes(&self) -> u64 {
-        self.nodes
-    }
-
-    pub(crate) fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    pub(crate) fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// `min(incumbent, min abandoned bound)` is the certified lower
-    /// bound; this is the abandoned half.
-    pub(crate) fn min_abandoned(&self) -> f64 {
-        self.min_abandoned
-    }
-}
-
-impl SearchGate for BudgetGate {
-    fn tick(&mut self) -> bool {
+    /// Account one search node. `false` means the budget is exhausted:
+    /// the caller must stop descending and report the subtree it is
+    /// abandoning via [`BudgetGate::abandon`].
+    pub(crate) fn tick(&mut self) -> bool {
         if self.exhausted {
             return false;
         }
@@ -217,131 +186,31 @@ impl SearchGate for BudgetGate {
         true
     }
 
-    fn abandon(&mut self, bound: f64) {
+    /// Record the relaxation bound of a subtree abandoned because of
+    /// exhaustion (NOT because of pruning). The minimum over these,
+    /// combined with the incumbent, is the certified lower bound.
+    pub(crate) fn abandon(&mut self, bound: f64) {
         if bound < self.min_abandoned {
             self.min_abandoned = bound;
         }
     }
-}
-
-/// Shared budget state for the parallel solver: a stop flag, a global
-/// node counter (batched), and the min abandoned bound as f64 bits.
-#[derive(Debug)]
-pub(crate) struct SharedGate {
-    stop: std::sync::atomic::AtomicBool,
-    nodes: std::sync::atomic::AtomicU64,
-    abandoned_bits: std::sync::atomic::AtomicU64,
-    node_limit: Option<u64>,
-    deadline: Option<Instant>,
-    start: Instant,
-}
-
-impl SharedGate {
-    pub(crate) fn new(budget: &SolveBudget) -> Self {
-        let start = Instant::now();
-        SharedGate {
-            stop: std::sync::atomic::AtomicBool::new(false),
-            nodes: std::sync::atomic::AtomicU64::new(0),
-            abandoned_bits: std::sync::atomic::AtomicU64::new(f64::INFINITY.to_bits()),
-            node_limit: budget.nodes,
-            deadline: budget.wall.map(|w| start + w),
-            start,
-        }
-    }
 
     pub(crate) fn nodes(&self) -> u64 {
-        self.nodes.load(std::sync::atomic::Ordering::Relaxed)
+        self.nodes
     }
 
     pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
-    pub(crate) fn min_abandoned(&self) -> f64 {
-        f64::from_bits(
-            self.abandoned_bits
-                .load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// Whether any worker abandoned work — i.e. the result is degraded.
     pub(crate) fn exhausted(&self) -> bool {
-        self.min_abandoned() < f64::INFINITY
+        self.exhausted
     }
 
-    fn record_abandoned(&self, bound: f64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut cur = self.abandoned_bits.load(Relaxed);
-        while bound < f64::from_bits(cur) {
-            match self
-                .abandoned_bits
-                .compare_exchange_weak(cur, bound.to_bits(), Relaxed, Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// A worker's view: batches node accounting so the hot path is a
-    /// local increment plus one relaxed load.
-    pub(crate) fn worker(&self) -> WorkerGate<'_> {
-        WorkerGate {
-            shared: self,
-            pending: 0,
-        }
-    }
-}
-
-/// Per-worker handle onto a [`SharedGate`] (flushes its node batch on
-/// drop).
-#[derive(Debug)]
-pub(crate) struct WorkerGate<'a> {
-    shared: &'a SharedGate,
-    pending: u64,
-}
-
-/// Worker-local batch size for the shared node counter.
-const BATCH: u64 = 64;
-
-impl SearchGate for WorkerGate<'_> {
-    fn tick(&mut self) -> bool {
-        use std::sync::atomic::Ordering::Relaxed;
-        if self.shared.stop.load(Relaxed) {
-            return false;
-        }
-        self.pending += 1;
-        if self.pending >= BATCH {
-            let total = self.shared.nodes.fetch_add(self.pending, Relaxed) + self.pending;
-            self.pending = 0;
-            if let Some(limit) = self.shared.node_limit {
-                if total > limit {
-                    self.shared.stop.store(true, Relaxed);
-                    return false;
-                }
-            }
-            if let Some(deadline) = self.shared.deadline {
-                if Instant::now() >= deadline {
-                    self.shared.stop.store(true, Relaxed);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn abandon(&mut self, bound: f64) {
-        self.shared.record_abandoned(bound);
-    }
-}
-
-impl Drop for WorkerGate<'_> {
-    fn drop(&mut self) {
-        if self.pending > 0 {
-            self.shared
-                .nodes
-                .fetch_add(self.pending, std::sync::atomic::Ordering::Relaxed);
-        }
+    /// `min(incumbent, min abandoned bound)` is the certified lower
+    /// bound; this is the abandoned half.
+    pub(crate) fn min_abandoned(&self) -> f64 {
+        self.min_abandoned
     }
 }
 
@@ -380,24 +249,6 @@ mod tests {
         let mut g = BudgetGate::new(&SolveBudget::wall(Duration::ZERO));
         assert!(!g.tick());
         assert!(g.exhausted());
-    }
-
-    #[test]
-    fn shared_gate_batches_and_stops() {
-        let shared = SharedGate::new(&SolveBudget::nodes(BATCH));
-        let mut w = shared.worker();
-        let mut ticks = 0u64;
-        while w.tick() {
-            ticks += 1;
-            assert!(ticks <= 2 * BATCH, "stop flag must bite within a batch");
-        }
-        w.abandon(42.0);
-        drop(w);
-        // A second worker sees the stop immediately.
-        assert!(!shared.worker().tick());
-        assert!(shared.exhausted());
-        assert_eq!(shared.min_abandoned(), 42.0);
-        assert!(shared.nodes() >= BATCH);
     }
 
     #[test]

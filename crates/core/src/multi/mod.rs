@@ -30,15 +30,12 @@
 //! `partition::min_norm_assignment_reference`, the equivalence oracle,
 //! following the same engine-vs-reference convention as `yds_reference`
 //! and `solve_for_u_reference` (see `BENCH_multi.json` for the measured
-//! gap). [`parallel`] explores the same tree from a shared work deque
-//! sized by `std::thread::available_parallelism`, and
-//! [`makespan`]'s `laptop_immediate` turns the optimal assignment into
-//! an executable immediate-release schedule.
+//! gap). [`makespan`]'s `laptop_immediate` turns the optimal assignment
+//! into an executable immediate-release schedule.
 
 pub mod cyclic;
 pub mod flow;
 pub mod makespan;
-pub mod parallel;
 pub mod partition;
 
 pub use cyclic::cyclic_assignment;

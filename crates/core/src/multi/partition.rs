@@ -15,7 +15,7 @@
 //! `Σ L_p^α ≥ 2·(B/2)^α` with equality only at `L_1 = L_2 = B/2`
 //! (strict convexity).
 
-use crate::budget::{BudgetGate, Budgeted, Degradation, SearchGate, SolveBudget};
+use crate::budget::{BudgetGate, Budgeted, Degradation, SolveBudget};
 use crate::error::CoreError;
 use pas_numeric::SortedLoads;
 use pas_power::PowerModel;
@@ -138,6 +138,10 @@ pub fn makespan_for_loads(loads: &[f64], alpha: f64, budget: f64) -> f64 {
 /// engine handled `n ≤ ~24`. Callers with a latency obligation should
 /// use [`min_norm_assignment_budgeted`], which this function *is* (with
 /// an unlimited budget), so the two paths cannot diverge.
+///
+/// # Panics
+/// If `m == 0`, or if a work is not finite and `≥ 0` (a NaN work would
+/// make every bound NaN, so nothing would ever be pruned).
 pub fn min_norm_assignment(works: &[f64], m: usize, alpha: f64) -> (Vec<usize>, f64) {
     min_norm_assignment_budgeted(works, m, alpha, &SolveBudget::UNLIMITED).into_value()
 }
@@ -156,7 +160,7 @@ pub fn min_norm_assignment(works: &[f64], m: usize, alpha: f64) -> (Vec<usize>, 
 /// branch order.
 ///
 /// # Panics
-/// If `m == 0`.
+/// If `m == 0`, or if a work is not finite and `≥ 0`.
 pub fn min_norm_assignment_budgeted(
     works: &[f64],
     m: usize,
@@ -164,35 +168,31 @@ pub fn min_norm_assignment_budgeted(
     budget: &SolveBudget,
 ) -> Budgeted<(Vec<usize>, f64)> {
     assert!(m > 0, "need at least one processor");
+    assert!(
+        works.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "works must be finite and non-negative"
+    );
     let n = works.len();
     if n == 0 {
         return Budgeted::Exact((Vec::new(), 0.0));
     }
     let core = SearchCore::new(works, m, alpha);
-    let (seed_labels, seed_norm) = core.seed_incumbent();
-    let mut inc = SeqIncumbent {
-        best: seed_norm,
-        labels: seed_labels,
+    let (best_labels, best) = core.seed_incumbent();
+    let mut search = Search {
+        loads: SortedLoads::new(m, alpha),
+        labels: vec![0; n],
+        best,
+        best_labels,
+        gate: BudgetGate::new(budget),
+        core,
     };
-    let mut st = SortedLoads::new(m, alpha);
-    let mut labels = vec![0usize; n];
-    let mut scratch = vec![0usize; n * m];
-    let mut gate = BudgetGate::new(budget);
-    descend(
-        &core,
-        &mut st,
-        &mut labels,
-        0,
-        f64::NEG_INFINITY,
-        &mut scratch,
-        &mut inc,
-        &mut gate,
-    );
-    let value = (core.unsort_labels(&inc.labels), inc.best);
+    search.descend(0, f64::NEG_INFINITY, &mut vec![0; n * m]);
+    let (best, gate) = (search.best, &search.gate);
+    let value = (search.core.unsort_labels(&search.best_labels), best);
     if gate.exhausted() {
-        let lower_bound = inc.best.min(gate.min_abandoned());
+        let lower_bound = best.min(gate.min_abandoned());
         Budgeted::Degraded(Degradation {
-            bound_gap: inc.best - lower_bound,
+            bound_gap: best - lower_bound,
             lower_bound,
             value,
             nodes: gate.nodes(),
@@ -203,26 +203,24 @@ pub fn min_norm_assignment_budgeted(
     }
 }
 
-/// Shared immutable state of one `L_α`-norm branch-and-bound run: the
-/// jobs sorted descending, their suffix sums, and the mapping back to
-/// the caller's job order. Used by both the sequential solver above and
-/// the work-deque parallel solver
-/// ([`crate::multi::parallel::min_norm_assignment_parallel`]).
-pub(crate) struct SearchCore {
+/// Immutable state of one `L_α`-norm branch-and-bound run: the jobs
+/// sorted descending, their suffix sums, and the mapping back to the
+/// caller's job order.
+struct SearchCore {
     /// Job works, descending (classic B&B ordering).
-    pub(crate) sorted: Vec<f64>,
+    sorted: Vec<f64>,
     /// `suffix[k]` = total work of jobs `k..`.
-    pub(crate) suffix: Vec<f64>,
+    suffix: Vec<f64>,
     /// `order[pos]` = original index of the job at sorted position `pos`.
-    pub(crate) order: Vec<usize>,
+    order: Vec<usize>,
     /// Processor count.
-    pub(crate) m: usize,
+    m: usize,
     /// Norm exponent.
-    pub(crate) alpha: f64,
+    alpha: f64,
 }
 
 impl SearchCore {
-    pub(crate) fn new(works: &[f64], m: usize, alpha: f64) -> Self {
+    fn new(works: &[f64], m: usize, alpha: f64) -> Self {
         let n = works.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| works[b].total_cmp(&works[a]));
@@ -244,7 +242,7 @@ impl SearchCore {
     /// norm is recomputed fresh from the seed's loads (not the local
     /// search's running delta sum) so the pruning threshold is never
     /// below what the seed labelling actually realizes.
-    pub(crate) fn seed_incumbent(&self) -> (Vec<usize>, f64) {
+    fn seed_incumbent(&self) -> (Vec<usize>, f64) {
         let (lpt_labels, _) = lpt_assignment(&self.sorted, self.m, self.alpha);
         let (labels, _) = local_search(&self.sorted, self.m, self.alpha, lpt_labels);
         let mut loads = vec![0.0f64; self.m];
@@ -266,13 +264,7 @@ impl SearchCore {
     /// bit, processors loaded below `floor` — the load job `k − 1`'s
     /// processor had before it — are skipped (see
     /// [`min_norm_assignment`]).
-    pub(crate) fn candidates(
-        &self,
-        st: &SortedLoads,
-        k: usize,
-        floor: f64,
-        cands: &mut [usize],
-    ) -> usize {
+    fn candidates(&self, st: &SortedLoads, k: usize, floor: f64, cands: &mut [usize]) -> usize {
         let floor = if k > 0 && self.sorted[k].to_bits() == self.sorted[k - 1].to_bits() {
             floor
         } else {
@@ -293,22 +285,8 @@ impl SearchCore {
         count
     }
 
-    /// The loads after placing the sorted jobs `..prefix.len()` on the
-    /// processors `prefix` names, and the `floor` to resume
-    /// [`descend`] with at depth `prefix.len()`: the load the last
-    /// prefix job's processor had before it (`f64::NEG_INFINITY` for an
-    /// empty prefix).
-    pub(crate) fn replay(&self, prefix: &[usize]) -> (SortedLoads, f64) {
-        let mut st = SortedLoads::new(self.m, self.alpha);
-        let mut floor = f64::NEG_INFINITY;
-        for (k, &p) in prefix.iter().enumerate() {
-            floor = st.raise(p, st.load(p) + self.sorted[k]).0;
-        }
-        (st, floor)
-    }
-
     /// Map sorted-position labels back to the caller's job order.
-    pub(crate) fn unsort_labels(&self, labels: &[usize]) -> Vec<usize> {
+    fn unsort_labels(&self, labels: &[usize]) -> Vec<usize> {
         let mut out = vec![0usize; labels.len()];
         for (pos, &orig) in self.order.iter().enumerate() {
             out[orig] = labels[pos];
@@ -317,88 +295,73 @@ impl SearchCore {
     }
 }
 
-/// How a branch-and-bound run tracks its best-so-far: the sequential
-/// solver keeps a plain local incumbent; parallel workers also publish
-/// to a shared atomic so pruning stays global.
-pub(crate) trait Incumbent {
-    /// The norm to prune against (global best-so-far).
-    fn prune_at(&self) -> f64;
-    /// A complete labelling realizing `norm` was found.
-    fn offer(&mut self, norm: f64, labels: &[usize]);
-}
-
-struct SeqIncumbent {
-    best: f64,
+/// Mutable state of one branch-and-bound run: the committed loads and
+/// labels of the current path, the incumbent, and the budget gate.
+struct Search {
+    core: SearchCore,
+    loads: SortedLoads,
     labels: Vec<usize>,
+    best: f64,
+    best_labels: Vec<usize>,
+    gate: BudgetGate,
 }
 
-impl Incumbent for SeqIncumbent {
-    fn prune_at(&self) -> f64 {
-        self.best
-    }
-
-    fn offer(&mut self, norm: f64, labels: &[usize]) {
+impl Search {
+    /// A complete labelling realizing `norm` was found.
+    fn offer(&mut self, norm: f64) {
         if norm < self.best {
             self.best = norm;
-            self.labels.copy_from_slice(labels);
+            self.best_labels.copy_from_slice(&self.labels);
         }
     }
-}
 
-/// Explore the subtree with jobs `k..` unassigned. `st` holds the loads
-/// committed by jobs `..k` (already labelled in `labels[..k]`);
-/// `floor` is the load job `k − 1`'s processor had *before* job `k − 1`
-/// joined it (`f64::NEG_INFINITY` at the root); if job `k` equals job
-/// `k − 1`, it only branches onto processors loaded at least `floor`
-/// ([`SearchCore::candidates`]).
-/// `scratch` is a preallocated `(n − k) · m` candidate buffer so the hot
-/// path never allocates. The `gate` meters the budget: prune checks run
-/// *first* (so the gate never alters which nodes an exact run visits),
-/// then the gate ticks; on exhaustion the subtree's relaxation bound is
-/// recorded so the caller can certify its incumbent's gap.
-#[allow(clippy::too_many_arguments)] // the recursion carries its whole state explicitly
-pub(crate) fn descend<I: Incumbent, G: SearchGate>(
-    core: &SearchCore,
-    st: &mut SortedLoads,
-    labels: &mut [usize],
-    k: usize,
-    floor: f64,
-    scratch: &mut [usize],
-    inc: &mut I,
-    gate: &mut G,
-) {
-    let bound = st.waterfill_bound(core.suffix[k]);
-    if bound >= inc.prune_at() {
-        return;
-    }
-    if !gate.tick() {
-        gate.abandon(bound);
-        return;
-    }
-    let n = core.sorted.len();
-    if k == n {
-        inc.offer(st.total_pow(), labels);
-        return;
-    }
-    let w = core.sorted[k];
-    if k + 1 == n {
-        // Last job: the least-loaded processor minimizes the convex
-        // increment (l + w)^α − l^α, so no branching is needed.
-        let p = st.slot_at(0);
-        let saved = st.raise(p, st.load(p) + w);
-        labels[k] = p;
-        inc.offer(st.total_pow(), labels);
-        st.lower_to(p, saved);
-        return;
-    }
-    // Snapshot the branch candidates before mutating.
-    let (cands, rest) = scratch.split_at_mut(core.m);
-    let count = core.candidates(st, k, floor, cands);
-    for &p in &cands[..count] {
-        let saved = st.raise(p, st.load(p) + w);
-        labels[k] = p;
-        descend(core, st, labels, k + 1, saved.0, rest, inc, gate);
-        st.lower_to(p, saved);
+    /// Explore the subtree with jobs `k..` unassigned. `loads` holds the
+    /// loads committed by jobs `..k` (already labelled in `labels[..k]`);
+    /// `floor` is the load job `k − 1`'s processor had *before* job
+    /// `k − 1` joined it (`f64::NEG_INFINITY` at the root); if job `k`
+    /// equals job `k − 1`, it only branches onto processors loaded at
+    /// least `floor` ([`SearchCore::candidates`]). `scratch` is a
+    /// preallocated `(n − k) · m` candidate buffer, so the hot path
+    /// never allocates. The prune check runs *first* (so the gate never
+    /// alters which nodes an exact run visits), then the gate ticks; on
+    /// exhaustion the subtree's relaxation bound is recorded so the
+    /// caller can certify its incumbent's gap.
+    fn descend(&mut self, k: usize, floor: f64, scratch: &mut [usize]) {
+        let bound = self.loads.waterfill_bound(self.core.suffix[k]);
+        if bound >= self.best {
+            return;
+        }
+        if !self.gate.tick() {
+            self.gate.abandon(bound);
+            return;
+        }
+        let n = self.core.sorted.len();
+        if k == n {
+            let norm = self.loads.total_pow();
+            self.offer(norm);
+            return;
+        }
+        let w = self.core.sorted[k];
+        if k + 1 == n {
+            // Last job: the least-loaded processor minimizes the convex
+            // increment (l + w)^α − l^α, so no branching is needed.
+            let p = self.loads.slot_at(0);
+            let saved = self.loads.raise(p, self.loads.load(p) + w);
+            self.labels[k] = p;
+            let norm = self.loads.total_pow();
+            self.offer(norm);
+            self.loads.lower_to(p, saved);
+            return;
+        }
+        // Snapshot the branch candidates before mutating.
+        let (cands, rest) = scratch.split_at_mut(self.core.m);
+        let count = self.core.candidates(&self.loads, k, floor, cands);
+        for &p in &cands[..count] {
+            let saved = self.loads.raise(p, self.loads.load(p) + w);
+            self.labels[k] = p;
+            self.descend(k + 1, saved.0, rest);
+            self.loads.lower_to(p, saved);
+        }
     }
 }
 
@@ -927,5 +890,88 @@ mod tests {
         let works = [1.0f64; 6];
         let (_, norm) = min_norm_assignment(&works, 3, 2.0);
         assert!((norm - 3.0 * 4.0).abs() < 1e-9); // 3 procs × (2)²
+    }
+
+    #[test]
+    fn works_that_are_not_finite_and_non_negative_panic() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            let works = [1.0, 2.0, bad, 1.5];
+            let exact = std::panic::catch_unwind(|| min_norm_assignment(&works, 4, 3.0));
+            assert!(exact.is_err(), "exact entry accepted work {bad}");
+            let budgeted = std::panic::catch_unwind(|| {
+                min_norm_assignment_budgeted(&works, 4, 3.0, &SolveBudget::nodes(100))
+            });
+            assert!(budgeted.is_err(), "budgeted entry accepted work {bad}");
+        }
+        // Zero (either sign) is a valid work.
+        assert_eq!(min_norm_assignment(&[0.0, -0.0, 2.0], 2, 3.0).1, 8.0);
+    }
+
+    #[test]
+    fn search_path_is_pinned() {
+        // E21's `multi_works(20, 1000, 1)` and `multi_works(20, 12, 1)`,
+        // m = 4. Node counts, bound bits, norm bits and labels are
+        // pinned: any change to the visit order, the gate placement or
+        // the float sums moves them.
+        let fine = [
+            2.822,
+            0.9590000000000001,
+            1.088,
+            3.11,
+            0.602,
+            2.8850000000000002,
+            0.89,
+            3.206,
+            0.767,
+            2.738,
+            0.869,
+            2.906,
+            1.856,
+            1.7,
+            0.602,
+            2.936,
+            3.17,
+            1.985,
+            1.496,
+            1.595,
+        ];
+        let coarse = [
+            1.0, 2.75, 0.5, 2.0, 2.0, 3.25, 1.0, 3.0, 2.75, 3.0, 1.25, 3.0, 0.5, 0.5, 1.0, 1.5,
+            3.0, 3.25, 1.5, 2.75,
+        ];
+        let degraded = |works: &[f64], nodes: u64| {
+            let out = min_norm_assignment_budgeted(works, 4, 3.0, &SolveBudget::nodes(nodes));
+            let d = out.degradation().expect("budget below the search's size");
+            (
+                d.nodes,
+                d.lower_bound.to_bits(),
+                d.value.1.to_bits(),
+                d.value.0.clone(),
+            )
+        };
+        assert_eq!(
+            degraded(&fine, 5_000),
+            (
+                5_000,
+                0x40ab_2e06_98e6_6fa2,
+                0x40ab_2e09_7c2f_d9ec,
+                vec![1, 3, 2, 2, 0, 2, 0, 0, 3, 0, 2, 3, 1, 1, 0, 3, 1, 3, 0, 2],
+            )
+        );
+        // The coarse witness finishes in exactly 12,127 nodes.
+        let optimum = vec![2, 0, 3, 1, 2, 0, 0, 2, 1, 3, 1, 2, 1, 3, 2, 3, 3, 1, 3, 0];
+        assert_eq!(
+            degraded(&coarse, 12_126),
+            (
+                12_126,
+                0x40ae_17bc_0000_0000,
+                0x40ae_1b70_0000_0000,
+                optimum.clone()
+            )
+        );
+        let exact = min_norm_assignment_budgeted(&coarse, 4, 3.0, &SolveBudget::nodes(12_127));
+        assert!(!exact.is_degraded());
+        let (labels, norm) = min_norm_assignment(&coarse, 4, 3.0);
+        assert_eq!((labels, norm.to_bits()), (optimum, 0x40ae_1b70_0000_0000));
     }
 }

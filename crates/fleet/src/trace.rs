@@ -368,10 +368,13 @@ impl EventTrace {
             return Err(err(2, "missing seed line"));
         }
         let (seed_line, mut rest) = first_line(rest);
+        // Hex digits only: `from_str_radix` alone would also take a sign.
         let seed = seed_line
             .trim()
             .strip_prefix("seed ")
-            .and_then(|s| u64::from_str_radix(s.trim(), 16).ok())
+            .map(str::trim)
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| err(2, format!("bad seed line {seed_line:?}")))?;
         let mut records = Vec::new();
         let mut line_no = 2;
@@ -714,7 +717,6 @@ mod tests {
             "fleettrace v1".into(),
             "fleettrace v1\n".into(),
             "fleettrace v1\r\nseed 7\r\n".into(),
-            "fleettrace v1\nseed +7\n".into(),
             format!("fleettrace v1\nseed 7\n{join}"),
             format!("fleettrace v1\nseed 7\n{join}\r"),
             format!("fleettrace v1\nseed 7\n{join}\r\n{fail}\r\n"),
@@ -768,6 +770,8 @@ mod tests {
         let signed = "fleettrace v1\nseed 0000000000000000\nev +ff0000000000000 join 0\n";
         let e = EventTrace::parse(signed).unwrap_err();
         assert_eq!((e.line, e.reason.as_str()), (3, "bad time"));
+        let e = EventTrace::parse("fleettrace v1\nseed +7\n").unwrap_err();
+        assert_eq!(e.line, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental sorted load vectors with `O(log m)` waterfill bounds.
 //!
-//! The §5 multiprocessor partition solvers (`pas-core`'s
-//! `multi::partition` / `multi::parallel`) run a branch and bound over
+//! The §5 multiprocessor partition solver (`pas-core`'s
+//! `multi::partition`) runs a branch and bound over
 //! per-processor load sums whose pruning bound is a *divisible
 //! relaxation*: water-fill the remaining work onto the lowest loads and
 //! take the resulting `Σ L_p^α`. Recomputing that bound naively is a

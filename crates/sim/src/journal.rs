@@ -999,7 +999,10 @@ fn parse_record(line: &str) -> Result<Record, String> {
         "hdr" => {
             let digest = match obj_field(o, "dig")? {
                 Value::Str(s) => {
-                    u64::from_str_radix(s, 16).map_err(|_| format!("bad digest `{s}`"))?
+                    let mut c = Cursor::new(s.as_bytes());
+                    c.hex16()
+                        .filter(|_| c.end().is_some())
+                        .ok_or_else(|| format!("bad digest `{s}`"))?
                 }
                 _ => return Err("`dig` is not a string".to_string()),
             };
@@ -1455,6 +1458,27 @@ mod tests {
                 read_records(&format!("{good}{bad}\n{tail}\n")),
                 Err(JournalError::Malformed { line: 2, .. })
             ));
+        }
+    }
+
+    #[test]
+    fn a_short_or_signed_header_digest_is_malformed() {
+        let mut j = Journal::memory();
+        j.write_header(1, 0, 1).unwrap();
+        let good = j.contents().unwrap().to_string();
+        assert!(good.contains(r#""dig":"0000000000000001""#));
+        // A decision follows, so the bad header is not a torn tail.
+        let tail = encoded(&dec(1, None));
+        assert!(read_records(&format!("{good}{tail}\n")).is_ok());
+        for bad in ["+000000000000001", "000000000000001", "00000000000000001"] {
+            let text = format!("{}{tail}\n", good.replace("0000000000000001", bad));
+            assert!(
+                matches!(
+                    read_records(&text),
+                    Err(JournalError::Malformed { line: 1, .. })
+                ),
+                "{bad}"
+            );
         }
     }
 
