@@ -2,8 +2,8 @@
 //!
 //! Instance `r = [0, 5, 6]`, `w = [5, 2, 1]`, `power = speed³`; energies
 //! sweep the figures' axis range `[6, 21]`. A companion table records
-//! the breakpoints and the closed-form checkpoint values EXPERIMENTS.md
-//! compares against the paper.
+//! the breakpoints and the closed-form checkpoint values to compare
+//! against the paper (E1–E3 in DESIGN.md's "Paper → code" table).
 
 use crate::harness::{fmt, CsvTable};
 use pas_core::makespan::Frontier;

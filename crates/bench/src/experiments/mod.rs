@@ -1,4 +1,5 @@
-//! All experiments, one module per EXPERIMENTS.md entry.
+//! All experiments, one module per E-number group of DESIGN.md's
+//! "Paper → code" table (its "Exercised by" column).
 //!
 //! | Module | Experiments | Reproduces |
 //! |--------|-------------|------------|

@@ -1,7 +1,8 @@
 //! # pas-bench
 //!
 //! The experiment harness regenerating every figure of the paper and
-//! every quantitative claim the reproduction tracks (EXPERIMENTS.md).
+//! every quantitative claim the reproduction tracks (the E-numbers of
+//! DESIGN.md's "Paper → code" table).
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! [`CsvTable`]s, registered by name in [`experiments::EXPERIMENTS`]:

@@ -67,11 +67,6 @@ impl SolveBudget {
             nodes: Some(limit),
         }
     }
-
-    /// Whether neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall.is_none() && self.nodes.is_none()
-    }
 }
 
 /// What a budget exhaustion cost: the incumbent, its certificate, and
@@ -271,9 +266,17 @@ mod tests {
 
     #[test]
     fn budget_constructors() {
-        assert!(SolveBudget::UNLIMITED.is_unlimited());
-        assert!(!SolveBudget::nodes(1).is_unlimited());
-        assert!(!SolveBudget::wall(Duration::from_secs(1)).is_unlimited());
+        let nodes = SolveBudget {
+            wall: None,
+            nodes: Some(1),
+        };
+        assert_eq!(SolveBudget::nodes(1), nodes);
+        let second = Duration::from_secs(1);
+        let wall = SolveBudget {
+            wall: Some(second),
+            nodes: None,
+        };
+        assert_eq!(SolveBudget::wall(second), wall);
         assert_eq!(SolveBudget::default(), SolveBudget::UNLIMITED);
     }
 }

@@ -23,7 +23,7 @@
 //! no radical expression for `σ2` — the group-theoretic step is cited,
 //! not recomputed (DESIGN.md §7).
 //!
-//! ## Reproduction deviation (recorded in EXPERIMENTS.md, E6)
+//! ## Reproduction deviation (E6 in DESIGN.md's "Paper → code" table)
 //!
 //! The paper states the boundary configuration is optimal for budgets in
 //! `≈[8.43, 11.54]` and instantiates the argument at `E = 9`. Our

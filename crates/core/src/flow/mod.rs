@@ -36,6 +36,5 @@ pub use resilient::{
     laptop_resilient, solve_for_u_resilient, FallbackEvent, FallbackStage, ResilientSolve,
 };
 pub use solver::{
-    laptop, server, solve_for_u, solve_for_u_reference, BusyBlock, FlowSensitivity, FlowSolution,
-    FlowWorkspace,
+    laptop, server, solve_for_u, solve_for_u_reference, BusyBlock, FlowSolution, FlowWorkspace,
 };

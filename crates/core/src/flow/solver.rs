@@ -70,13 +70,14 @@
 //!   `u`-evaluation of an outer search or curve sweep;
 //! * **warm-started outer inversion** — energy is strictly increasing
 //!   and flow strictly decreasing in `u`, and both derivatives fall out
-//!   of the block structure in closed form
-//!   ([`FlowWorkspace::solve_with_sensitivity`]), so the laptop and
-//!   server problems invert their targets with seeded, derivative-driven
-//!   bracketed Newton ([`pas_numeric::roots::invert_monotone_fdf`])
-//!   whose search loop evaluates only the scalar it needs (no
-//!   verification or packaging) — a handful of `O(n)` evaluations
-//!   instead of cold ~50-step bisection over full solves. Theorem 8
+//!   of the block structure in closed form (the private accumulators
+//!   `FlowWorkspace::accumulate_energy` and `accumulate_flow`), so the
+//!   laptop and server problems invert their targets with seeded,
+//!   derivative-driven bracketed Newton
+//!   ([`pas_numeric::roots::invert_monotone_fdf`]) whose search loop
+//!   evaluates only the scalar it needs (no verification or packaging)
+//!   — a handful of `O(n)` evaluations instead of cold ~50-step
+//!   bisection over full solves. Theorem 8
 //!   shows this arbitrarily-good approximation is the best achievable by
 //!   any algorithm over `(+,−,×,÷,ᵏ√)`.
 //!
@@ -165,16 +166,6 @@ impl BusyBlock {
     pub fn is_empty(&self) -> bool {
         false
     }
-}
-
-/// Closed-form sensitivities of a block solution with respect to `u`,
-/// used to Newton-accelerate the outer laptop/server inversions.
-#[derive(Debug, Clone, Copy)]
-pub struct FlowSensitivity {
-    /// `dE/du` — strictly positive away from configuration changes.
-    pub denergy_du: f64,
-    /// `dF/du` — strictly negative away from configuration changes.
-    pub dflow_du: f64,
 }
 
 /// Relative margin by which the configuration walk requires each
@@ -746,37 +737,7 @@ impl<'a> FlowWorkspace<'a> {
     ) -> Result<FlowSolution, CoreError> {
         let blocks = self.decompose(u)?;
         let speeds = self.block_speeds(&blocks, u);
-        finish_solution_tol(self.instance, self.alpha, u, speeds, kkt_tol)
-    }
-
-    /// [`FlowWorkspace::solve`] plus the closed-form `dE/du` and `dF/du`
-    /// of the block structure (treating the configuration as locally
-    /// constant, which it is away from configuration-change energies).
-    ///
-    /// For a tail-`u` block `v' = 1`; for a pinned block the time
-    /// equation forces `v' = −Σ k·q_k / Σ q_k` with
-    /// `q_k = (v+ku)^{-1/α-1}`. Then per block
-    /// `dE/du = w·(α−1)/α · Σ_k (v+ku)^{-1/α}·(v'+k)` and
-    /// `dF/du = −w/α · Σ_k (k+1)·(v+ku)^{-1/α-1}·(v'+k)`.
-    ///
-    /// # Errors
-    /// As [`solve_for_u`].
-    pub fn solve_with_sensitivity(
-        &self,
-        u: f64,
-    ) -> Result<(FlowSolution, FlowSensitivity), CoreError> {
-        let blocks = self.decompose(u)?;
-        let (_, denergy_du) = self.accumulate_energy(&blocks, u);
-        let (_, dflow_du) = self.accumulate_flow(&blocks, u);
-        let speeds = self.block_speeds(&blocks, u);
-        let solution = finish_solution(self.instance, self.alpha, u, speeds)?;
-        Ok((
-            solution,
-            FlowSensitivity {
-                denergy_du,
-                dflow_du,
-            },
-        ))
+        finish_solution(self.instance, self.alpha, u, speeds, kkt_tol)
     }
 
     /// `dv/du` of a block's tail value: `1` for tail-`u` blocks; for a
@@ -986,22 +947,13 @@ impl<'a> FlowWorkspace<'a> {
     }
 }
 
-/// Verify a speed profile, simulate it, and package a [`FlowSolution`] —
-/// the shared tail of both engines, so they are compared on identical
-/// accounting.
+/// Verify a speed profile against the residual acceptance threshold
+/// `kkt_tol`, simulate it, and package a [`FlowSolution`] — the shared
+/// tail of both engines, so they are compared on identical accounting.
+/// The degradation ladder relaxes `kkt_tol` (to ~1e-3) before falling
+/// back to the reference engine, trading certified optimality for
+/// availability.
 fn finish_solution(
-    instance: &Instance,
-    alpha: f64,
-    u: f64,
-    speeds: Vec<f64>,
-) -> Result<FlowSolution, CoreError> {
-    finish_solution_tol(instance, alpha, u, speeds, KKT_TOL)
-}
-
-/// [`finish_solution`] with an explicit residual acceptance threshold —
-/// the degradation ladder relaxes it (to ~1e-3) before falling back to
-/// the reference engine, trading certified optimality for availability.
-fn finish_solution_tol(
     instance: &Instance,
     alpha: f64,
     u: f64,
@@ -1259,7 +1211,7 @@ pub(crate) fn solve_for_u_reference_with(
             break;
         }
     }
-    finish_solution_tol(instance, alpha, u, best, kkt_tol)
+    finish_solution(instance, alpha, u, best, kkt_tol)
 }
 
 /// Solve the **laptop problem** for total flow: minimize flow subject to
@@ -1410,24 +1362,24 @@ mod tests {
         let inst = Instance::equal_work(&[0.0, 0.2, 0.5, 0.9, 4.0], 1.0).unwrap();
         let ws = FlowWorkspace::new(&inst, 3.0).unwrap();
         for &u in &[0.4, 1.0, 3.0] {
-            let (_, sens) = ws.solve_with_sensitivity(u).unwrap();
+            let blocks = ws.decompose(u).unwrap();
+            let (_, denergy_du) = ws.accumulate_energy(&blocks, u);
+            let (_, dflow_du) = ws.accumulate_flow(&blocks, u);
             let h = 1e-6 * u;
             let up = ws.solve(u + h).unwrap();
             let dn = ws.solve(u - h).unwrap();
             let de = (up.energy - dn.energy) / (2.0 * h);
             let df = (up.total_flow - dn.total_flow) / (2.0 * h);
             assert!(
-                (sens.denergy_du - de).abs() < 1e-4 * de.abs().max(1.0),
-                "u={u}: dE/du {} vs FD {de}",
-                sens.denergy_du
+                (denergy_du - de).abs() < 1e-4 * de.abs().max(1.0),
+                "u={u}: dE/du {denergy_du} vs FD {de}"
             );
             assert!(
-                (sens.dflow_du - df).abs() < 1e-4 * df.abs().max(1.0),
-                "u={u}: dF/du {} vs FD {df}",
-                sens.dflow_du
+                (dflow_du - df).abs() < 1e-4 * df.abs().max(1.0),
+                "u={u}: dF/du {dflow_du} vs FD {df}"
             );
-            assert!(sens.denergy_du > 0.0);
-            assert!(sens.dflow_du < 0.0);
+            assert!(denergy_du > 0.0);
+            assert!(dflow_du < 0.0);
         }
     }
 

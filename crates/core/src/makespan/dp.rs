@@ -6,7 +6,7 @@
 //! start) with an `O(n)` feasibility scan per candidate block, i.e.
 //! `O(n³)` worst case as implemented. It exists (a) as an independent
 //! oracle for `IncMerge` in tests, and (b) as the slow comparator in the
-//! scaling experiment (E4 in EXPERIMENTS.md).
+//! scaling experiment (E4 in DESIGN.md's "Paper → code" table).
 //!
 //! Formulation: every non-final block `(i, j)` is *exact-fit* — it starts
 //! at `r_i` and ends at `r_{j+1}` (Lemma 4, no idle) — so its energy is

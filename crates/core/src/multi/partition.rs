@@ -572,27 +572,6 @@ pub fn local_search(
     (labels, current)
 }
 
-/// Per-processor loads induced by a labelling, then
-/// [`makespan_for_loads`] — the one-call version for callers holding an
-/// assignment rather than loads.
-///
-/// # Panics
-/// If a label is out of range for the implied processor count
-/// (`max(labels) + 1`).
-pub fn makespan_for_loads_from_assignment(
-    works: &[f64],
-    labels: &[usize],
-    alpha: f64,
-    budget: f64,
-) -> f64 {
-    let m = labels.iter().copied().max().map_or(1, |x| x + 1);
-    let mut loads = vec![0.0f64; m];
-    for (w, &p) in works.iter().zip(labels) {
-        loads[p] += w;
-    }
-    makespan_for_loads(&loads, alpha, budget)
-}
-
 /// Decide the Theorem-11 question *by scheduling*: is there a 2-processor
 /// schedule of the reduced instance with makespan ≤ `B/2` under energy
 /// budget `B`? Uses the exact branch and bound.

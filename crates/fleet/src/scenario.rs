@@ -59,6 +59,12 @@ pub enum ScenarioError {
         /// Explanation.
         reason: String,
     },
+    /// The background fault model has a rate or range that
+    /// [`FaultModel::validate`] rejects.
+    BadFaultModel {
+        /// Explanation.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -72,6 +78,7 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "horizon must be finite and positive, got {horizon}")
             }
             ScenarioError::BadHost { id, reason } => write!(f, "host {id}: {reason}"),
+            ScenarioError::BadFaultModel { reason } => write!(f, "{reason}"),
         }
     }
 }
@@ -174,6 +181,11 @@ impl FleetScenario {
                     reason: e.to_string(),
                 })?;
             }
+        }
+        if let Some(model) = &self.fault_model {
+            model.validate().map_err(|e| ScenarioError::BadFaultModel {
+                reason: e.to_string(),
+            })?;
         }
         for ev in &self.events {
             if !(ev.at.is_finite() && ev.at >= 0.0) {
@@ -391,6 +403,40 @@ mod tests {
         };
         assert_eq!(fine.validate(), Ok(()));
         assert_eq!(HostPolicy::Bkp { factor: 1.3 }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn rejects_a_fault_model_sampling_cannot_use() {
+        for model in [
+            FaultModel {
+                crash_rate: f64::INFINITY,
+                ..FaultModel::calm()
+            },
+            FaultModel {
+                cancel_rate: f64::NAN,
+                ..FaultModel::calm()
+            },
+            FaultModel {
+                crash_duration: (2.0, 1.0),
+                ..FaultModel::calm()
+            },
+        ] {
+            let mut s = FleetScenario::new(two_hosts(), workload(), 10.0, 1);
+            s.fault_model = Some(model.clone());
+            assert!(
+                matches!(s.validate(), Err(ScenarioError::BadFaultModel { .. })),
+                "{model:?}"
+            );
+            assert!(
+                matches!(
+                    crate::sim::run(&s),
+                    Err(crate::sim::FleetError::Scenario(
+                        ScenarioError::BadFaultModel { .. }
+                    ))
+                ),
+                "{model:?} must not run"
+            );
+        }
     }
 
     #[test]

@@ -64,23 +64,6 @@ pub fn classify(a: f64, b: f64, tol: f64) -> std::cmp::Ordering {
     }
 }
 
-/// Clamp `x` into `[lo, hi]`, tolerating slightly inverted bounds caused by
-/// rounding (if `lo > hi` but within `tol`, returns their midpoint).
-///
-/// Returns `None` when the interval is genuinely inverted beyond `tol`.
-#[inline]
-pub fn clamp_tol(x: f64, lo: f64, hi: f64, tol: f64) -> Option<f64> {
-    if lo > hi {
-        if lo - hi <= tol {
-            Some(0.5 * (lo + hi))
-        } else {
-            None
-        }
-    } else {
-        Some(x.clamp(lo, hi))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,21 +94,5 @@ mod tests {
         assert_eq!(classify(1.0, 2.0, 1e-9), Ordering::Less);
         assert_eq!(classify(2.0, 1.0, 1e-9), Ordering::Greater);
         assert_eq!(classify(1.0, 1.0 + 1e-12, 1e-9), Ordering::Equal);
-    }
-
-    #[test]
-    fn clamp_tol_accepts_normal_interval() {
-        assert_eq!(clamp_tol(5.0, 0.0, 1.0, 1e-9), Some(1.0));
-        assert_eq!(clamp_tol(-5.0, 0.0, 1.0, 1e-9), Some(0.0));
-        assert_eq!(clamp_tol(0.5, 0.0, 1.0, 1e-9), Some(0.5));
-    }
-
-    #[test]
-    fn clamp_tol_handles_inverted_interval() {
-        // Slightly inverted by rounding: midpoint.
-        let mid = clamp_tol(0.0, 1.0 + 1e-12, 1.0, 1e-9).unwrap();
-        assert!((mid - 1.0).abs() < 1e-9);
-        // Genuinely inverted: rejected.
-        assert_eq!(clamp_tol(0.0, 2.0, 1.0, 1e-9), None);
     }
 }

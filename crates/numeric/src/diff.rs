@@ -23,18 +23,6 @@ pub fn second_derivative(mut f: impl FnMut(f64) -> f64, x: f64, h: f64) -> f64 {
     (4.0 * d_h2 - d_h) / 3.0
 }
 
-/// One-sided (forward) derivative, for evaluating at the edge of a
-/// frontier segment where the two-sided stencil would straddle a
-/// breakpoint. Second-order accurate.
-pub fn forward_derivative(mut f: impl FnMut(f64) -> f64, x: f64, h: f64) -> f64 {
-    (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h)
-}
-
-/// One-sided (backward) derivative; mirror of [`forward_derivative`].
-pub fn backward_derivative(mut f: impl FnMut(f64) -> f64, x: f64, h: f64) -> f64 {
-    (3.0 * f(x) - 4.0 * f(x - h) + f(x - 2.0 * h)) / (2.0 * h)
-}
-
 /// Numerically check convexity of `f` on `[lo, hi]` by testing the
 /// midpoint inequality on `samples` random-ish (deterministic low
 /// discrepancy) triples. Returns the worst violation (negative slack
@@ -80,24 +68,6 @@ mod tests {
         // d²/dx² x^3 at 2 = 12.
         let d = second_derivative(|x| x * x * x, 2.0, 1e-3);
         assert!((d - 12.0).abs() < 1e-6, "{d}");
-    }
-
-    #[test]
-    fn one_sided_derivatives_match_at_smooth_point() {
-        let f = |x: f64| x.powf(1.5);
-        let fwd = forward_derivative(f, 4.0, 1e-5);
-        let bwd = backward_derivative(f, 4.0, 1e-5);
-        let want = 1.5 * 2.0; // 1.5 * sqrt(4)
-        assert!((fwd - want).abs() < 1e-6);
-        assert!((bwd - want).abs() < 1e-6);
-    }
-
-    #[test]
-    fn one_sided_derivatives_split_at_kink() {
-        // |x| has one-sided derivatives -1 and +1 at 0.
-        let f = |x: f64| x.abs();
-        assert!((forward_derivative(f, 0.0, 1e-6) - 1.0).abs() < 1e-9);
-        assert!((backward_derivative(f, 0.0, 1e-6) + 1.0).abs() < 1e-9);
     }
 
     #[test]

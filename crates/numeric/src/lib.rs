@@ -22,7 +22,6 @@
 //!   central differences, used to cross-check the closed-form first and
 //!   second derivatives of the makespan/energy tradeoff (Figures 2 and 3
 //!   of the paper).
-//! * **Scalar minimization** ([`minimize`]) — golden-section search.
 //! * **Sturm chains** ([`sturm`]) — certified real-root counting, used
 //!   to prove the Theorem-8 root inventory complete.
 //! * **Comparisons** ([`compare`]) — absolute/relative tolerance helpers.
@@ -53,7 +52,6 @@ pub mod compare;
 pub mod diff;
 pub mod kinetic;
 pub mod loads;
-pub mod minimize;
 pub mod poly;
 pub mod rational;
 pub mod roots;

@@ -176,21 +176,6 @@ impl Polynomial {
     pub fn scale(&self, c: f64) -> Polynomial {
         Polynomial::new(self.coeffs.iter().map(|&a| a * c).collect())
     }
-
-    /// `p(x) <- p(c * x)` substitution (used to rescale witnesses).
-    pub fn compose_scale(&self, c: f64) -> Polynomial {
-        let mut pow = 1.0;
-        Polynomial::new(
-            self.coeffs
-                .iter()
-                .map(|&a| {
-                    let v = a * pow;
-                    pow *= c;
-                    v
-                })
-                .collect(),
-        )
-    }
 }
 
 fn push_unique(roots: &mut Vec<f64>, r: f64, xtol: f64) {
@@ -319,13 +304,6 @@ mod tests {
         let q = p(&[-6.0, 11.0, -6.0, 1.0]);
         let roots = q.real_roots_in(1.5, 3.5, 1000, 1e-12);
         assert_eq!(roots.len(), 2);
-    }
-
-    #[test]
-    fn compose_scale_substitutes() {
-        // p(x) = x^2; p(3x) = 9x^2.
-        let q = p(&[0.0, 0.0, 1.0]).compose_scale(3.0);
-        assert_eq!(q, p(&[0.0, 0.0, 9.0]));
     }
 
     #[test]

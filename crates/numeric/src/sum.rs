@@ -58,27 +58,26 @@ impl FromIterator<f64> for NeumaierSum {
     }
 }
 
-/// Sum a slice with Neumaier compensation.
-pub fn compensated_sum(xs: &[f64]) -> f64 {
-    xs.iter().copied().collect::<NeumaierSum>().total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compensated(xs: &[f64]) -> f64 {
+        xs.iter().copied().collect::<NeumaierSum>().total()
+    }
 
     #[test]
     fn classic_kahan_killer() {
         // 1 + 1e100 + 1 - 1e100 = 2, but naive f64 gives 0.
         let naive: f64 = [1.0, 1e100, 1.0, -1e100].iter().sum();
         assert_eq!(naive, 0.0);
-        assert_eq!(compensated_sum(&[1.0, 1e100, 1.0, -1e100]), 2.0);
+        assert_eq!(compensated(&[1.0, 1e100, 1.0, -1e100]), 2.0);
     }
 
     #[test]
     fn matches_exact_small_sums() {
-        assert_eq!(compensated_sum(&[0.25, 0.5, 0.125]), 0.875);
-        assert_eq!(compensated_sum(&[]), 0.0);
+        assert_eq!(compensated(&[0.25, 0.5, 0.125]), 0.875);
+        assert_eq!(compensated(&[]), 0.0);
     }
 
     #[test]

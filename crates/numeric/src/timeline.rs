@@ -178,10 +178,10 @@ impl Fenwick {
 /// Inserting an interval merges it with any overlapping or
 /// (within `merge_eps`) abutting neighbors, so the set stays disjoint and
 /// sorted. A prefix-length table is maintained alongside, making
-/// [`measure_between`](IntervalSet::measure_between) a pair of binary
-/// searches. Insertion splices a `Vec`, so it is `O(log n)` to locate
-/// plus `O(n)` to shift in the worst case — amortized far lower here
-/// because YDS inserts one interval per round and merges shrink the set.
+/// [`coverage_up_to`](IntervalSet::coverage_up_to) one binary search.
+/// Insertion splices a `Vec`, so it is `O(log n)` to locate plus `O(n)`
+/// to shift in the worst case — amortized far lower here because YDS
+/// inserts one interval per round and merges shrink the set.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     /// Disjoint `(start, end)` pairs, sorted by start.
@@ -209,12 +209,6 @@ impl IntervalSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.intervals.is_empty()
-    }
-
-    /// Total covered length.
-    pub fn total_measure(&self) -> f64 {
-        self.prefix.last().copied().unwrap_or(0.0)
-            + self.intervals.last().map_or(0.0, |&(a, b)| b - a)
     }
 
     /// Insert `[start, end]`, merging overlapping or `merge_eps`-abutting
@@ -275,14 +269,6 @@ impl IntervalSet {
             None => 0.0,
         };
         full + partial
-    }
-
-    /// Covered length within `[start, end]` — two binary searches.
-    pub fn measure_between(&self, start: f64, end: f64) -> f64 {
-        if end <= start {
-            return 0.0;
-        }
-        self.coverage_up_to(end) - self.coverage_up_to(start)
     }
 
     /// The maximal *uncovered* sub-intervals of `[start, end]`, dropping
@@ -399,11 +385,11 @@ mod tests {
         // Bridging insert merges everything.
         s.insert(1.5, 4.5, 1e-9);
         assert_eq!(s.intervals(), &[(1.0, 5.0)]);
-        assert!((s.total_measure() - 4.0).abs() < 1e-12);
+        assert!((s.coverage_up_to(f64::INFINITY) - 4.0).abs() < 1e-12);
         // Abutting within eps merges too.
         s.insert(5.0 + 1e-12, 6.0, 1e-9);
         assert_eq!(s.len(), 1);
-        assert!((s.total_measure() - 5.0).abs() < 1e-9);
+        assert!((s.coverage_up_to(f64::INFINITY) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -415,9 +401,8 @@ mod tests {
         assert!((s.coverage_up_to(2.0) - 1.0).abs() < 1e-12);
         assert!((s.coverage_up_to(4.0) - 2.0).abs() < 1e-12);
         assert!((s.coverage_up_to(10.0) - 3.0).abs() < 1e-12);
-        assert!((s.measure_between(2.0, 5.5) - 1.5).abs() < 1e-12);
-        assert!((s.measure_between(3.0, 5.0) - 0.0).abs() < 1e-12);
-        assert_eq!(s.measure_between(5.0, 4.0), 0.0);
+        assert!((s.coverage_up_to(5.5) - s.coverage_up_to(2.0) - 1.5).abs() < 1e-12);
+        assert!((s.coverage_up_to(5.0) - s.coverage_up_to(3.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -428,7 +413,7 @@ mod tests {
         let gaps = s.gaps_between(1.0, 7.0, 1e-9);
         assert_eq!(gaps, vec![(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]);
         let gap_len: f64 = gaps.iter().map(|(a, b)| b - a).sum();
-        assert!((gap_len + s.measure_between(1.0, 7.0) - 6.0).abs() < 1e-12);
+        assert!((gap_len + s.coverage_up_to(7.0) - s.coverage_up_to(1.0) - 6.0).abs() < 1e-12);
         // Window entirely inside one interval: no gaps.
         assert!(s.gaps_between(4.2, 5.8, 1e-9).is_empty());
         // Window before everything: one full gap.

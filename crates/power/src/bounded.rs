@@ -54,20 +54,6 @@ impl<M: PowerModel> BoundedPower<M> {
     pub fn max_speed(&self) -> f64 {
         self.max_speed
     }
-
-    /// Whether `speed` is a legal operating point (0 = idle is allowed).
-    pub fn is_legal_speed(&self, speed: f64) -> bool {
-        speed == 0.0 || (self.min_speed..=self.max_speed).contains(&speed)
-    }
-
-    /// Clamp a requested speed into the legal range (0 stays 0).
-    pub fn clamp_speed(&self, speed: f64) -> f64 {
-        if speed == 0.0 {
-            0.0
-        } else {
-            speed.clamp(self.min_speed, self.max_speed)
-        }
-    }
 }
 
 impl<M: PowerModel> PowerModel for BoundedPower<M> {
@@ -139,19 +125,6 @@ mod tests {
         ));
         // e = 0.01 -> σ = 0.1 < min 0.5.
         assert!(m.speed_for_energy_per_work(0.01).is_err());
-    }
-
-    #[test]
-    fn legality_and_clamping() {
-        let m = bounded();
-        assert!(m.is_legal_speed(0.0));
-        assert!(m.is_legal_speed(0.5));
-        assert!(m.is_legal_speed(2.0));
-        assert!(!m.is_legal_speed(0.4));
-        assert!(!m.is_legal_speed(2.1));
-        assert_eq!(m.clamp_speed(3.0), 2.0);
-        assert_eq!(m.clamp_speed(0.1), 0.5);
-        assert_eq!(m.clamp_speed(0.0), 0.0);
     }
 
     #[test]

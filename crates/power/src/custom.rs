@@ -17,15 +17,6 @@ pub struct CustomPower<F> {
 }
 
 impl<F: Fn(f64) -> f64 + Send + Sync> CustomPower<F> {
-    /// Wrap `f` as a power model **without** auditing — for callers that
-    /// have verified the contract themselves.
-    pub fn new_unchecked(name: &str, f: F) -> Self {
-        CustomPower {
-            f,
-            name: name.to_string(),
-        }
-    }
-
     /// Wrap `f`, auditing the [`PowerModel`] contract (`P(0)=0`, strictly
     /// increasing, strictly convex, invertible energy-per-work) over
     /// `(0, max_speed]`.
@@ -92,13 +83,6 @@ mod tests {
     fn audit_rejects_static_power() {
         let err = CustomPower::new_audited("leaky", |s: f64| 1.0 + s * s, 10.0);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn unchecked_skips_the_audit() {
-        // Deliberately broken model constructs fine unchecked.
-        let m = CustomPower::new_unchecked("bad", |s: f64| s.sqrt());
-        assert!((m.power(4.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -58,13 +58,6 @@ impl PolyPower {
     pub fn coefficient(&self) -> f64 {
         self.coefficient
     }
-
-    /// Exact closed-form inverse of `g(σ) = c·σ^{α-1}`:
-    /// `σ = (e/c)^{1/(α-1)}`.
-    #[inline]
-    pub fn speed_for_energy_per_work_exact(&self, e: f64) -> f64 {
-        (e / self.coefficient).powf(1.0 / (self.alpha - 1.0))
-    }
 }
 
 impl Default for PolyPower {
@@ -98,7 +91,8 @@ impl PowerModel for PolyPower {
         if e < 0.0 {
             return Err(PowerError::Unreachable { energy_per_work: e });
         }
-        Ok(self.speed_for_energy_per_work_exact(e))
+        // Closed-form inverse of `g(σ) = c·σ^{α-1}`.
+        Ok((e / self.coefficient).powf(1.0 / (self.alpha - 1.0)))
     }
 
     fn power_derivative(&self, speed: f64) -> f64 {

@@ -17,6 +17,7 @@
 //! work, downtime, wasted (overhead) energy, recovery latencies, and —
 //! when the plan carries a flow SLO — deadline misses.
 
+use crate::online::SimError;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -365,19 +366,65 @@ impl FaultModel {
         z ^ (z >> 31)
     }
 
+    /// Check that [`sample`](FaultModel::sample) is well defined: the
+    /// four rates finite and `>= 0`, `checkpoint_prob` in `[0, 1]`, and
+    /// each `(lo, hi)` range finite with `lo <= hi`. A rate of `+inf` or
+    /// NaN never lets the Poisson clock pass the horizon, so sampling
+    /// would push events until memory runs out.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |reason: String| Err(SimError::InvalidConfig { reason });
+        for (name, rate) in [
+            ("crash_rate", self.crash_rate),
+            ("cancel_rate", self.cancel_rate),
+            ("throttle_rate", self.throttle_rate),
+            ("burst_rate", self.burst_rate),
+        ] {
+            if !(rate.is_finite() && rate >= 0.0) {
+                return invalid(format!("fault {name} {rate} must be finite and >= 0"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.checkpoint_prob) {
+            return invalid(format!(
+                "fault checkpoint_prob {} must be in [0, 1]",
+                self.checkpoint_prob
+            ));
+        }
+        for (name, (lo, hi)) in [
+            ("crash_duration", self.crash_duration),
+            ("throttle_duration", self.throttle_duration),
+            ("throttle_cap", self.throttle_cap),
+            ("burst_work", self.burst_work),
+        ] {
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return invalid(format!(
+                    "fault {name} ({lo}, {hi}) must be finite with lo <= hi"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Sample a deterministic plan over `[0, horizon)`: each category is
     /// a Poisson process at its rate; cancellation targets are drawn
     /// from `candidate_jobs` (no cancels are generated when it is
     /// empty).
     ///
     /// # Panics
-    /// If `horizon` is negative or non-finite, or any configured range
-    /// is invalid (empty or non-positive where positivity is required).
+    /// If `horizon` is negative or non-finite, or
+    /// [`validate`](FaultModel::validate) rejects the model: a rate that
+    /// is NaN, infinite or negative, a `checkpoint_prob` outside
+    /// `[0, 1]`, or a range that is not finite or has `lo > hi`.
     pub fn sample(&self, horizon: f64, candidate_jobs: &[u32], seed: u64) -> FaultPlan {
         assert!(
             horizon.is_finite() && horizon >= 0.0,
             "horizon must be >= 0"
         );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let u01 = Uniform::new(f64::MIN_POSITIVE, 1.0);
         let mut events = Vec::new();
@@ -563,6 +610,95 @@ impl ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_rates_and_ranges_sampling_cannot_use() {
+        assert_eq!(FaultModel::calm().validate(), Ok(()));
+        assert_eq!(FaultModel::uniform_mix(0.4).validate(), Ok(()));
+        let rejected = |m: FaultModel| match m.validate() {
+            Err(SimError::InvalidConfig { reason }) => reason,
+            other => panic!("{m:?}: expected InvalidConfig, got {other:?}"),
+        };
+        let calm = FaultModel::calm;
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for m in [
+                FaultModel {
+                    crash_rate: v,
+                    ..calm()
+                },
+                FaultModel {
+                    cancel_rate: v,
+                    ..calm()
+                },
+                FaultModel {
+                    throttle_rate: v,
+                    ..calm()
+                },
+                FaultModel {
+                    burst_rate: v,
+                    ..calm()
+                },
+                FaultModel {
+                    checkpoint_prob: v,
+                    ..calm()
+                },
+                FaultModel {
+                    crash_duration: (v, 2.0),
+                    ..calm()
+                },
+                FaultModel {
+                    throttle_duration: (0.5, v),
+                    ..calm()
+                },
+                FaultModel {
+                    throttle_cap: (v, 0.8),
+                    ..calm()
+                },
+                FaultModel {
+                    burst_work: (0.5, v),
+                    ..calm()
+                },
+            ] {
+                let reason = rejected(m);
+                assert!(reason.contains(&v.to_string()), "{reason}");
+            }
+        }
+        // A negative rate, a probability above one, and inverted ranges.
+        for m in [
+            FaultModel {
+                crash_rate: -1.0,
+                ..calm()
+            },
+            FaultModel {
+                checkpoint_prob: 1.5,
+                ..calm()
+            },
+            FaultModel {
+                crash_duration: (2.0, 1.0),
+                ..calm()
+            },
+            FaultModel {
+                throttle_cap: (0.8, 0.3),
+                ..calm()
+            },
+            FaultModel {
+                burst_work: (1.5, 0.5),
+                ..calm()
+            },
+        ] {
+            rejected(m);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "crash_rate")]
+    fn sample_panics_on_an_infinite_rate_instead_of_filling_memory() {
+        let model = FaultModel {
+            crash_rate: f64::INFINITY,
+            ..FaultModel::calm()
+        };
+        let _ = model.sample(10.0, &[], 1);
+    }
 
     #[test]
     fn event_budget_caps_huge_horizons() {

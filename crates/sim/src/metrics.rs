@@ -194,40 +194,6 @@ pub fn executed_work_by_job(schedule: &Schedule) -> HashMap<u32, f64> {
     acc.into_iter().map(|(id, sum)| (id, sum.total())).collect()
 }
 
-/// Work executed inside the half-open interval `[from, to)`, across all
-/// machines, clipping slices that straddle the boundary.
-///
-/// The per-interval counterpart of [`executed_work_by_job`]: binning a
-/// horizon with it yields a lost/delivered-work timeline (e.g. work
-/// burned between a crash and its recovery under lost-progress
-/// semantics).
-pub fn work_in_interval(schedule: &Schedule, from: f64, to: f64) -> f64 {
-    let mut acc = NeumaierSum::new();
-    for lane in schedule.machines() {
-        for s in lane {
-            let lo = s.start.max(from);
-            let hi = s.end.min(to);
-            if hi > lo {
-                acc.add(s.speed * (hi - lo));
-            }
-        }
-    }
-    acc.total()
-}
-
-/// Per-job flow values `(job id, C_i − r_i)`, sorted by id — the raw
-/// series behind flow plots.
-pub fn per_job_flow(schedule: &Schedule, instance: &Instance) -> Vec<(u32, f64)> {
-    let completions = schedule.completion_times();
-    let mut out: Vec<(u32, f64)> = instance
-        .jobs()
-        .iter()
-        .filter_map(|j| completions.get(&j.id).map(|c| (j.id, c - j.release)))
-        .collect();
-    out.sort_by_key(|&(id, _)| id);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,29 +342,5 @@ mod tests {
         assert!((w[&0] - 2.5).abs() < 1e-12);
         assert!((w[&1] - 1.0).abs() < 1e-12);
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn interval_work_clips_straddling_slices() {
-        let sched = Schedule::from_slices(vec![
-            Slice::new(0, 0.0, 2.0, 1.0),
-            Slice::new(1, 3.0, 5.0, 2.0),
-        ]);
-        // [1, 4): 1 unit of job 0 plus 2 units of job 1.
-        assert!((work_in_interval(&sched, 1.0, 4.0) - 3.0).abs() < 1e-12);
-        // Degenerate and empty windows.
-        assert_eq!(work_in_interval(&sched, 4.0, 4.0), 0.0);
-        assert_eq!(work_in_interval(&sched, 10.0, 20.0), 0.0);
-        // Whole horizon = total work.
-        assert!((work_in_interval(&sched, 0.0, 5.0) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_job_flow_series() {
-        let (inst, sched) = paper_setup();
-        let series = per_job_flow(&sched, &inst);
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0].0, 0);
-        assert!((series[0].1 - 5.0).abs() < 1e-12);
     }
 }

@@ -308,14 +308,6 @@ impl SimError {
             source: Some(Arc::new(err)),
         }
     }
-
-    /// An upstream failure with a message only (no source to chain).
-    pub fn solver_message(message: impl Into<String>) -> SimError {
-        SimError::Solver {
-            message: message.into(),
-            source: None,
-        }
-    }
 }
 
 impl PartialEq for SimError {
@@ -1905,7 +1897,11 @@ mod tests {
         let src = std::error::Error::source(&err).expect("source is chained");
         assert_eq!(src.to_string(), "root cause");
         // Equality ignores the unattributable source pointer.
-        assert_eq!(err, SimError::solver_message("root cause"));
+        let bare = SimError::Solver {
+            message: "root cause".into(),
+            source: None,
+        };
+        assert_eq!(err, bare);
         assert_ne!(err, SimError::TooManyEvents);
     }
 }

@@ -1,111 +1,6 @@
-//! Plain-text trace I/O for instances.
-//!
-//! Besides the serde/JSON round trip, real workloads often arrive as CSV
-//! traces (`release,work` per line, optional `id` column and `#`
-//! comments). These helpers parse and emit that format with precise
-//! error positions, so downstream users can feed their own traces to the
-//! schedulers without writing parsers.
-//!
-//! It also holds the bit-exact `f64` hex codec and the byte codec built
-//! on it ([`push_hex16`], [`push_u64`], [`Cursor`]) that the fleet event
+//! The bit-exact `f64` hex codec and the byte codec built on it
+//! ([`push_hex16`], [`push_u64`], [`Cursor`]) that the fleet event
 //! trace and the serve journal both write and read their lines with.
-
-use crate::instance::{Instance, InstanceError};
-use crate::job::Job;
-
-/// Errors from [`parse_csv`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// A line failed to parse.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-        /// Explanation.
-        reason: String,
-    },
-    /// The parsed jobs do not form a valid instance.
-    Invalid(InstanceError),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
-            TraceError::Invalid(e) => write!(f, "invalid instance: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parse a CSV trace.
-///
-/// Accepted per line (after trimming): `release,work` or
-/// `id,release,work`. Blank lines and lines starting with `#` are
-/// skipped. A header line `release,work` / `id,release,work` is skipped
-/// if present. Two-column rows are assigned ids by position.
-///
-/// # Errors
-/// [`TraceError`] with the offending line number.
-pub fn parse_csv(text: &str) -> Result<Instance, TraceError> {
-    let mut jobs = Vec::new();
-    let mut next_auto_id = 0u32;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-        // Skip a header row.
-        if idx == 0 && cells.iter().any(|c| c.eq_ignore_ascii_case("release")) {
-            continue;
-        }
-        let job = match cells.as_slice() {
-            [release, work] => {
-                let job = Job::new(
-                    next_auto_id,
-                    parse_num(release, line_no, "release")?,
-                    parse_num(work, line_no, "work")?,
-                );
-                next_auto_id += 1;
-                job
-            }
-            [id, release, work] => Job::new(
-                id.parse().map_err(|_| TraceError::BadLine {
-                    line: line_no,
-                    reason: format!("bad id {id:?}"),
-                })?,
-                parse_num(release, line_no, "release")?,
-                parse_num(work, line_no, "work")?,
-            ),
-            _ => {
-                return Err(TraceError::BadLine {
-                    line: line_no,
-                    reason: format!("expected 2 or 3 columns, got {}", cells.len()),
-                })
-            }
-        };
-        jobs.push(job);
-    }
-    Instance::new(jobs).map_err(TraceError::Invalid)
-}
-
-fn parse_num(cell: &str, line: usize, what: &str) -> Result<f64, TraceError> {
-    cell.parse().map_err(|_| TraceError::BadLine {
-        line,
-        reason: format!("bad {what} {cell:?}"),
-    })
-}
-
-/// Emit an instance as a CSV trace (`id,release,work` with a header).
-pub fn to_csv(instance: &Instance) -> String {
-    let mut out = String::from("id,release,work\n");
-    for j in instance.jobs() {
-        out.push_str(&format!("{},{},{}\n", j.id, j.release, j.work));
-    }
-    out
-}
 
 /// Bit-exact `f64` encoding: the 16-hex-digit IEEE-754 bit pattern.
 ///
@@ -296,47 +191,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn two_column_trace() {
-        let inst = parse_csv("0.0,5.0\n5.0,2.0\n6.0,1.0\n").unwrap();
-        assert_eq!(inst.len(), 3);
-        assert_eq!(inst.total_work(), 8.0);
-        assert_eq!(inst.job(0).id, 0);
-    }
-
-    #[test]
-    fn three_column_with_header_and_comments() {
-        let text = "id,release,work\n# the paper instance\n7,0.0,5.0\n\n3,5.0,2.0\n";
-        let inst = parse_csv(text).unwrap();
-        assert_eq!(inst.len(), 2);
-        assert_eq!(inst.job(0).id, 7);
-    }
-
-    #[test]
-    fn round_trip() {
-        let inst = parse_csv("0.0,5.0\n5.0,2.0\n").unwrap();
-        let back = parse_csv(&to_csv(&inst)).unwrap();
-        assert_eq!(inst, back);
-    }
-
-    #[test]
-    fn error_positions() {
-        let err = parse_csv("0.0,5.0\nnot,a,number\n").unwrap_err();
-        assert!(matches!(err, TraceError::BadLine { line: 2, .. }), "{err}");
-        let err = parse_csv("1,2,3,4\n").unwrap_err();
-        assert!(matches!(err, TraceError::BadLine { line: 1, .. }));
-        let err = parse_csv("0.0,-5.0\n").unwrap_err();
-        assert!(matches!(err, TraceError::Invalid(_)));
-        let err = parse_csv("").unwrap_err();
-        assert!(matches!(err, TraceError::Invalid(InstanceError::Empty)));
-    }
-
-    #[test]
-    fn whitespace_tolerant() {
-        let inst = parse_csv("  0.0 , 5.0 \n 5.0,2.0").unwrap();
-        assert_eq!(inst.len(), 2);
-    }
 
     #[test]
     fn hex_codec_is_bit_exact() {

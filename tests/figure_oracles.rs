@@ -1,7 +1,7 @@
 //! Integration tests: the paper's Figures 1–3, through the public API.
 //!
 //! These are the workspace's acceptance tests for experiment E1–E3 (see
-//! EXPERIMENTS.md): every number is checked against the closed forms
+//! DESIGN.md's "Paper → code" table): every number is checked against the closed forms
 //! derived by hand in DESIGN.md §5 for the instance
 //! `r = [0, 5, 6]`, `w = [5, 2, 1]`, `power = speed³`.
 

@@ -2,8 +2,8 @@
 //!
 //! * **Theorem 8** (flow inexactness): the degree-12 witness polynomial,
 //!   reproduced exactly, plus the measured correction to the paper's
-//!   boundary window (see `flow::hardness` module docs and
-//!   EXPERIMENTS.md E6).
+//!   boundary window (see `flow::hardness` module docs and E6 in
+//!   DESIGN.md's "Paper → code" table).
 //! * **Theorem 11** (multiprocessor NP-hardness): the Partition
 //!   reduction decides correctly in both directions against the exact
 //!   subset-sum oracle.
