@@ -20,8 +20,8 @@
 //! [`boundary_polynomial`]; at the paper's budget `E = 9` it reproduces
 //! the paper's printed coefficients *exactly* (asserted in tests). The
 //! paper reports (via GAP) that its Galois group is not solvable, hence
-//! no radical expression for `σ2` — the group-theoretic step is cited,
-//! not recomputed (DESIGN.md §7).
+//! no radical expression for `σ2` — the group-theoretic step is cited
+//! from the paper's Theorem 8, not recomputed.
 //!
 //! ## Reproduction deviation (E6 in DESIGN.md's "Paper → code" table)
 //!

@@ -189,7 +189,8 @@ mod tests {
         Instance::from_pairs(&[(0.0, 5.0), (5.0, 2.0), (6.0, 1.0)]).unwrap()
     }
 
-    /// Closed-form makespan of the paper's instance (DESIGN.md §5):
+    /// Closed-form makespan of the paper's instance (its Figure 1; the
+    /// same curve as `oracle_makespan` in `tests/figure_oracles.rs`):
     /// three configurations split at E = 8 and E = 17.
     fn paper_makespan(e: f64) -> f64 {
         if e >= 17.0 {

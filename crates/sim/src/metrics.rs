@@ -7,6 +7,7 @@
 //! and a Newtonian-cooling maximum temperature (the objective of
 //! Bansal–Kimbrel–Pruhs discussed in §2).
 
+use crate::online::IdIndex;
 use crate::schedule::Schedule;
 use pas_numeric::NeumaierSum;
 use pas_power::PowerModel;
@@ -46,10 +47,9 @@ pub fn makespan(schedule: &Schedule) -> f64 {
 /// Jobs missing from the schedule contribute nothing — run
 /// [`Schedule::validate`] first if completeness matters.
 pub fn total_flow(schedule: &Schedule, instance: &Instance) -> f64 {
-    let completions = schedule.completion_times();
     let mut acc = NeumaierSum::new();
-    for job in instance.jobs() {
-        if let Some(&c) = completions.get(&job.id) {
+    for (job, c) in instance.jobs().iter().zip(completions(schedule, instance)) {
+        if let Some(c) = c {
             acc.add(c - job.release);
         }
     }
@@ -60,10 +60,9 @@ pub fn total_flow(schedule: &Schedule, instance: &Instance) -> f64 {
 /// a metric that is *not* symmetric, so Theorem 10's cyclic assignment
 /// does not apply to it. `weights` maps job id to weight (default 1).
 pub fn weighted_flow(schedule: &Schedule, instance: &Instance, weights: &HashMap<u32, f64>) -> f64 {
-    let completions = schedule.completion_times();
     let mut acc = NeumaierSum::new();
-    for job in instance.jobs() {
-        if let Some(&c) = completions.get(&job.id) {
+    for (job, c) in instance.jobs().iter().zip(completions(schedule, instance)) {
+        if let Some(c) = c {
             let w = weights.get(&job.id).copied().unwrap_or(1.0);
             acc.add(w * (c - job.release));
         }
@@ -74,12 +73,33 @@ pub fn weighted_flow(schedule: &Schedule, instance: &Instance, weights: &HashMap
 /// Maximum flow `max_i (C_i − r_i)` (a symmetric non-decreasing metric,
 /// so Theorem 10 *does* apply to it — used by tests of that theorem).
 pub fn max_flow(schedule: &Schedule, instance: &Instance) -> f64 {
-    let completions = schedule.completion_times();
     instance
         .jobs()
         .iter()
-        .filter_map(|j| completions.get(&j.id).map(|c| c - j.release))
+        .zip(completions(schedule, instance))
+        .filter_map(|(j, c)| c.map(|c| c - j.release))
         .fold(0.0, f64::max)
+}
+
+/// Each instance job's completion time, in instance order: the latest
+/// end over its slices, or `None` for a job with no slice. The fold is
+/// [`Schedule::completion_times`]'s, slice for slice, so the flow
+/// metrics keep their bits; slices of jobs outside the instance are
+/// skipped.
+fn completions(schedule: &Schedule, instance: &Instance) -> Vec<Option<f64>> {
+    let ids = IdIndex::new(instance.jobs());
+    let mut out = vec![None; instance.len()];
+    for lane in schedule.machines() {
+        for s in lane {
+            if let Some(i) = ids.get(s.job) {
+                let e = out[i].get_or_insert(f64::NEG_INFINITY);
+                if s.end > *e {
+                    *e = s.end;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Total energy: `Σ_slices P(speed)·duration` under `model`, with
@@ -166,12 +186,12 @@ pub fn max_temperature<M: PowerModel>(schedule: &Schedule, model: &M, a: f64, b:
 /// meet its deadline. This is the shared implementation behind
 /// [`ResilienceReport::deadline_misses`](crate::faults::ResilienceReport).
 pub fn deadline_misses(schedule: &Schedule, instance: &Instance, slo: f64) -> usize {
-    let completions = schedule.completion_times();
     instance
         .jobs()
         .iter()
-        .filter(|j| match completions.get(&j.id) {
-            Some(&c) => c - j.release > slo,
+        .zip(completions(schedule, instance))
+        .filter(|(j, c)| match c {
+            Some(c) => c - j.release > slo,
             None => true,
         })
         .count()
@@ -199,6 +219,116 @@ mod tests {
     use super::*;
     use crate::slice::Slice;
     use pas_power::PolyPower;
+    use pas_workload::Job;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    // The flow metrics as they read over `Schedule::completion_times`,
+    // kept as the oracle for the map-free ones.
+
+    fn total_flow_reference(schedule: &Schedule, instance: &Instance) -> f64 {
+        let completions = schedule.completion_times();
+        let mut acc = NeumaierSum::new();
+        for job in instance.jobs() {
+            if let Some(&c) = completions.get(&job.id) {
+                acc.add(c - job.release);
+            }
+        }
+        acc.total()
+    }
+
+    fn weighted_flow_reference(
+        schedule: &Schedule,
+        instance: &Instance,
+        weights: &HashMap<u32, f64>,
+    ) -> f64 {
+        let completions = schedule.completion_times();
+        let mut acc = NeumaierSum::new();
+        for job in instance.jobs() {
+            if let Some(&c) = completions.get(&job.id) {
+                let w = weights.get(&job.id).copied().unwrap_or(1.0);
+                acc.add(w * (c - job.release));
+            }
+        }
+        acc.total()
+    }
+
+    fn max_flow_reference(schedule: &Schedule, instance: &Instance) -> f64 {
+        let completions = schedule.completion_times();
+        instance
+            .jobs()
+            .iter()
+            .filter_map(|j| completions.get(&j.id).map(|c| c - j.release))
+            .fold(0.0, f64::max)
+    }
+
+    fn deadline_misses_reference(schedule: &Schedule, instance: &Instance, slo: f64) -> usize {
+        let completions = schedule.completion_times();
+        instance
+            .jobs()
+            .iter()
+            .filter(|j| match completions.get(&j.id) {
+                Some(&c) => c - j.release > slo,
+                None => true,
+            })
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Multi-machine schedules over compact or sparse ids, with
+        /// slices of jobs outside the instance (ids offset past every
+        /// instance id) and instance jobs that have no slice.
+        #[test]
+        fn flow_metrics_match_the_completion_map_bit_for_bit(
+            dense in 0u8..2,
+            stride in 2u32..5_000,
+            jobs in vec((0.0f64..50.0, 0.1f64..5.0, 0.0f64..3.0), 1..200),
+            slices in vec((0u32..400, 0usize..4, 0.0f64..80.0, 0.0f64..10.0), 0..600),
+            machines in 1usize..5,
+            slo in 0.0f64..30.0,
+        ) {
+            let stride = if dense == 1 { 1 } else { stride };
+            let id = |k: u32| k * stride;
+            let instance = Instance::new(
+                (0u32..)
+                    .zip(&jobs)
+                    .map(|(k, &(release, work, _))| Job::new(id(k), release, work))
+                    .collect(),
+            )
+            .unwrap();
+            // Whole-valued ends tie often, so `>` against equal ends
+            // is exercised.
+            let mut schedule = Schedule::with_machines(machines);
+            for &(k, m, start, len) in &slices {
+                let start = start.floor();
+                let job = if (k as usize) < jobs.len() { id(k) } else { id(k) + 1 };
+                schedule.push(m % machines, Slice::new(job, start, start + len.ceil(), 1.0));
+            }
+            let weights: HashMap<u32, f64> = (0u32..)
+                .zip(&jobs)
+                .filter(|&(_, &(_, _, w))| w > 1.0)
+                .map(|(k, &(_, _, w))| (id(k), w))
+                .collect();
+            prop_assert_eq!(
+                total_flow(&schedule, &instance).to_bits(),
+                total_flow_reference(&schedule, &instance).to_bits()
+            );
+            prop_assert_eq!(
+                weighted_flow(&schedule, &instance, &weights).to_bits(),
+                weighted_flow_reference(&schedule, &instance, &weights).to_bits()
+            );
+            prop_assert_eq!(
+                max_flow(&schedule, &instance).to_bits(),
+                max_flow_reference(&schedule, &instance).to_bits()
+            );
+            prop_assert_eq!(
+                deadline_misses(&schedule, &instance, slo),
+                deadline_misses_reference(&schedule, &instance, slo)
+            );
+        }
+    }
 
     fn paper_setup() -> (Instance, Schedule) {
         // Figure-1 instance at E = 21: speeds 1, 2, √8.

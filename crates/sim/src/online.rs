@@ -29,9 +29,10 @@
 //! those aggregates (all of the §6 policies in `pas-core::online` do)
 //! costs `O(1)` per event. The engine keeps each job's fate (state and
 //! metered energy) in one table indexed by arrival position, and the
-//! id a decision names is resolved through an id index built at
-//! construction (a dense lane when ids are compact), so a full run does
-//! no hashing — E13 runs at `n` in the tens of thousands.
+//! id a decision names is resolved in O(1) through an id index built at
+//! construction (a dense lane when ids are compact, a fixed-hash table
+//! when they are sparse), so a full run builds no hash map — E13 runs
+//! at `n` in the tens of thousands.
 //!
 //! Two interchangeable storage engines implement the view: the
 //! data-oriented [`ShardedReadySet`] arena (struct-of-arrays slab,
@@ -650,13 +651,20 @@ pub(crate) struct JobEntry {
 
 /// Job id → arrival index: the run's one id-keyed structure, built once
 /// per run and never changed. Compact ids (a span at most twice the job
-/// count, the usual case) get a dense lane over the span; sparse ones,
-/// `(id, index)` pairs sorted by id and binary-searched.
+/// count: a single engine or server) get a dense lane over the span.
+/// Sparse ones (a fleet host's share of the fleet's ids) get an
+/// open-addressing table: `(id, index)` slots, a power-of-two capacity
+/// at least twice the job count, a Fibonacci hash of the id and linear
+/// probing. The hash is a fixed function of the id, so no `RandomState`
+/// is drawn and the table is laid out the same on every run.
 #[derive(Debug, Clone)]
 pub(crate) enum IdIndex {
     Dense { base: u32, index: Vec<u32> },
-    Sorted(Vec<(u32, u32)>),
+    Hashed { shift: u32, slots: Vec<(u32, u32)> },
 }
+
+/// Marks an empty slot in either lane: no arrival has this index.
+const NO_INDEX: u32 = u32::MAX;
 
 impl IdIndex {
     pub(crate) fn new(arrivals: &[Job]) -> IdIndex {
@@ -665,28 +673,54 @@ impl IdIndex {
             .fold((u32::MAX, 0), |(lo, hi), j| (lo.min(j.id), hi.max(j.id)));
         let span = (u64::from(hi) + 1).saturating_sub(u64::from(lo));
         if span <= 2 * arrivals.len() as u64 {
-            let mut index = vec![u32::MAX; span as usize];
+            let mut index = vec![NO_INDEX; span as usize];
             for (i, j) in (0u32..).zip(arrivals) {
                 index[(j.id - lo) as usize] = i;
             }
             IdIndex::Dense { base: lo, index }
         } else {
-            let mut pairs: Vec<(u32, u32)> =
-                (0u32..).zip(arrivals).map(|(i, j)| (j.id, i)).collect();
-            pairs.sort_unstable();
-            IdIndex::Sorted(pairs)
+            // `arrivals` is non-empty here (an empty one has span 0),
+            // so the capacity is at least 2 and the shift at most 63.
+            let capacity = (2 * arrivals.len()).next_power_of_two();
+            let shift = 64 - capacity.trailing_zeros();
+            let mut slots = vec![(0, NO_INDEX); capacity];
+            for (i, j) in (0u32..).zip(arrivals) {
+                let mut at = Self::home(j.id, shift);
+                while slots[at].1 != NO_INDEX && slots[at].0 != j.id {
+                    at = (at + 1) & (capacity - 1);
+                }
+                slots[at] = (j.id, i);
+            }
+            IdIndex::Hashed { shift, slots }
         }
+    }
+
+    /// The first slot probed for `id` in a table of `2^(64 - shift)`
+    /// slots: the top bits of `id · 2^64/φ`.
+    fn home(id: u32, shift: u32) -> usize {
+        (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
     }
 
     pub(crate) fn get(&self, id: u32) -> Option<usize> {
         match self {
             IdIndex::Dense { base, index } => {
                 let &i = index.get(id.checked_sub(*base)? as usize)?;
-                (i != u32::MAX).then_some(i as usize)
+                (i != NO_INDEX).then_some(i as usize)
             }
-            IdIndex::Sorted(pairs) => {
-                let at = pairs.binary_search_by_key(&id, |&(k, _)| k).ok()?;
-                Some(pairs[at].1 as usize)
+            IdIndex::Hashed { shift, slots } => {
+                // At most half the slots are full, so the probe always
+                // meets an empty one.
+                let mut at = Self::home(id, *shift);
+                loop {
+                    let (key, i) = slots[at];
+                    if i == NO_INDEX {
+                        return None;
+                    }
+                    if key == id {
+                        return Some(i as usize);
+                    }
+                    at = (at + 1) & (slots.len() - 1);
+                }
             }
         }
     }
@@ -1214,6 +1248,8 @@ mod tests {
     use crate::faults::{BurstJob, FaultEvent, FaultModel};
     use crate::metrics;
     use pas_power::PolyPower;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Runs everything at a fixed speed, FIFO.
     struct FixedSpeed(f64);
@@ -1624,6 +1660,7 @@ mod tests {
         for (arrivals, is_dense) in [(&dense, true), (&sparse, false)] {
             let index = IdIndex::new(arrivals);
             assert_eq!(matches!(index, IdIndex::Dense { .. }), is_dense);
+            assert_eq!(matches!(index, IdIndex::Hashed { .. }), !is_dense);
             for (i, j) in arrivals.iter().enumerate() {
                 assert_eq!(index.get(j.id), Some(i));
             }
@@ -1632,6 +1669,87 @@ mod tests {
             }
         }
         assert_eq!(IdIndex::new(&[]).get(0), None);
+    }
+
+    /// The arrival index of `id` by a linear scan: the oracle for
+    /// [`IdIndex::get`].
+    fn scan(arrivals: &[Job], id: u32) -> Option<usize> {
+        arrivals.iter().position(|j| j.id == id)
+    }
+
+    /// Unique ids in one of five shapes, in the order `raw` draws them:
+    /// compact (dense lane), sparse over all of `u32`, clustered just
+    /// below `u32::MAX` (the top id included), strided (a fleet host's
+    /// round-robin share) and a single id.
+    fn shaped_ids(shape: u8, raw: &[u32], stride: u32) -> Vec<u32> {
+        let n = raw.len() as u32;
+        let mut ids: Vec<u32> = match shape {
+            // Every even offset and about half the odd ones: the span
+            // stays within twice the count.
+            0 => permuted(raw)
+                .filter(|&(r, k)| k % 2 == 0 || r % 2 == 0)
+                .map(|(_, k)| raw[0] / 2 + k)
+                .collect(),
+            1 => raw.to_vec(),
+            2 => std::iter::once(u32::MAX)
+                .chain(raw.iter().map(|r| u32::MAX - r % (4 * n)))
+                .collect(),
+            3 => {
+                let base = raw[0] % (u32::MAX - n * stride);
+                permuted(raw).map(|(_, k)| base + k * stride).collect()
+            }
+            _ => vec![raw[0]],
+        };
+        let mut seen = std::collections::HashSet::new();
+        ids.retain(|&id| seen.insert(id));
+        ids
+    }
+
+    /// The offsets `0..raw.len()` in the order `raw` sorts them, each
+    /// with its `raw` value.
+    fn permuted(raw: &[u32]) -> impl Iterator<Item = (u32, u32)> {
+        let mut order: Vec<(u32, u32)> = raw.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        order.into_iter()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn id_index_agrees_with_a_linear_scan(
+            shape in 0u8..5,
+            raw in vec(0u32..u32::MAX, 1..5001),
+            stride in 1u32..50_000,
+            probes in vec(0u32..u32::MAX, 64),
+        ) {
+            let ids = shaped_ids(shape, &raw, stride);
+            let arrivals: Vec<Job> = ids.iter().map(|&id| Job::new(id, 0.0, 1.0)).collect();
+            let index = IdIndex::new(&arrivals);
+            if shape == 0 || shape == 4 {
+                prop_assert!(
+                    matches!(index, IdIndex::Dense { .. }),
+                    "shape {shape} should take the dense lane"
+                );
+            }
+            if shape == 3 && stride >= 3 && ids.len() >= 2 {
+                prop_assert!(
+                    matches!(index, IdIndex::Hashed { .. }),
+                    "a stride of {stride} should take the table"
+                );
+            }
+            // Every present id, its successor (mostly absent, and
+            // wrapping at the top of `u32`), the extremes and random
+            // probes.
+            let queries = ids
+                .iter()
+                .flat_map(|&id| [id, id.wrapping_add(1)])
+                .chain([0, 1, u32::MAX - 1, u32::MAX])
+                .chain(probes.iter().copied());
+            for q in queries {
+                prop_assert_eq!(index.get(q), scan(&arrivals, q));
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Integration tests: the paper's Figures 1–3, through the public API.
 //!
 //! These are the workspace's acceptance tests for experiment E1–E3 (see
-//! DESIGN.md's "Paper → code" table): every number is checked against the closed forms
-//! derived by hand in DESIGN.md §5 for the instance
-//! `r = [0, 5, 6]`, `w = [5, 2, 1]`, `power = speed³`.
+//! DESIGN.md's "Paper → code" table): every number is checked against
+//! the closed forms behind the paper's Figures 1–3 (§3) for the instance
+//! `r = [0, 5, 6]`, `w = [5, 2, 1]`, `power = speed³`, each written out
+//! beside the test that asserts it.
 
 use power_aware_scheduling::prelude::*;
 
