@@ -4,7 +4,7 @@
 //! processing — every event in its popped (tie-broken) order, plus the
 //! routing decision for every arrival. All `f64`s are serialized as
 //! their 16-hex-digit IEEE-754 bit patterns (the
-//! [`pas_workload::io::f64_to_hex`] format), so
+//! [`pas_workload::io::push_hex16`] format), so
 //! `trace → serialize → parse → replay` reproduces the original fleet
 //! digest **bit-identically** — the property `tests/fleet_equivalence.rs`
 //! pins. The format is line-oriented and diff-friendly:
@@ -777,9 +777,9 @@ mod tests {
     #[test]
     fn tolerates_comments_and_blank_lines() {
         let text = format!(
-            "fleettrace v1\nseed {:016x}\n\n# a comment\nev {} join 3\n",
+            "fleettrace v1\nseed {:016x}\n\n# a comment\nev {:016x} join 3\n",
             7u64,
-            pas_workload::io::f64_to_hex(0.0)
+            0f64.to_bits()
         );
         let t = EventTrace::parse(&text).unwrap();
         assert_eq!(t.seed, 7);

@@ -21,29 +21,31 @@
 //!
 //! # Torn tails
 //!
-//! Records are single lines, flushed per write. A `SIGKILL` can leave
-//! at most one torn line at the end of the file; the reader stops at
-//! the first malformed line, so recovery resumes from the last durable
-//! record.
+//! Records are single lines, flushed per write, and a record is durable
+//! once its newline is written. A `SIGKILL` can leave at most one
+//! unterminated line at the end of the file; the reader drops it (even
+//! one that looks complete), so recovery resumes from the last durable
+//! record, and [`Journal::append`] cuts it off before writing, so the
+//! next record starts a line of its own.
 //!
 //! # Decoding
 //!
-//! Decision records are nearly every line of a journal, so the reader
-//! decodes them straight from bytes: `decode_decision` is a scanner for
-//! exactly the grammar `encode_decision` writes (fixed key order, no
-//! whitespace, no leading zeros, lowercase 16-hex floats), both built on
-//! the byte codec of [`pas_workload::io`] that the fleet trace shares. Any line it
-//! does not recognise — headers, snapshots, or a decision written some
-//! other way — falls back to the general JSON `parse_record`, so the
-//! scanner changes speed, never which lines are accepted or what they
-//! decode to. Decisions must also carry `seq` 1, 2, 3, … in file order
-//! (snapshots sit between them without breaking the count, and replayed
-//! decisions are never re-journaled); the first decision out of
-//! sequence — a dropped, duplicated, or reordered line — is
-//! [`JournalError::Malformed`] at that line rather than a divergence
-//! deep inside the replay.
+//! The journal has one grammar. Each line kind — header, decision,
+//! snapshot — is written by its `encode_*` function and read back by
+//! `decode_line`, which accepts exactly those bytes: fixed key order, no
+//! whitespace, canonical decimals, lowercase 16-hex floats. Both are
+//! built on the byte codec of [`pas_workload::io`] that the fleet trace
+//! shares, so every decoded value round-trips bit for bit, and a
+//! terminated line outside the grammar is [`JournalError::Malformed`].
+//! A snapshot must also be internally consistent (its ready slots, free
+//! list, queue and band vectors agree) before it is accepted.
+//! Decisions must carry `seq` 1, 2, 3, … in file order (snapshots sit
+//! between them without breaking the count, and replayed decisions are
+//! never re-journaled); the first decision out of sequence — a dropped,
+//! duplicated, or reordered line — is [`JournalError::Malformed`] at
+//! that line rather than a divergence deep inside the replay.
 
-use crate::arena::{BandLedger, ShardedReadySet};
+use crate::arena::{BandLedger, ShardedReadySet, NUM_BANDS};
 use crate::faults::{FaultKind, FaultPlan, ResilienceReport};
 use crate::fnv::Fnv;
 use crate::online::{
@@ -51,9 +53,8 @@ use crate::online::{
 };
 use crate::schedule::Schedule;
 use crate::slice::Slice;
-use pas_workload::io::{f64_from_hex, f64_to_hex, push_hex16, push_u64, Cursor};
+use pas_workload::io::{push_hex16, push_u64, Cursor};
 use pas_workload::Job;
-use serde::Value;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -113,60 +114,178 @@ fn io_err(e: std::io::Error) -> JournalError {
 }
 
 // ---------------------------------------------------------------------
-// Bit-exact f64 codec (the workload crate's, shared with the fleet trace).
+// The line codec: every value a journal line holds, written by `put`
+// and read back by `take`, which accepts exactly those bytes.
 
-fn fb(x: f64) -> Value {
-    Value::Str(f64_to_hex(x))
+/// Largest count or sequence number a line may carry (2^53, the JSON
+/// integer range the journal has always been written in).
+const MAX_COUNT: u64 = 1 << 53;
+
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor) -> Option<Self>;
 }
 
-fn pf(v: &Value) -> Result<f64, String> {
-    match v {
-        Value::Str(s) => f64_from_hex(s).ok_or_else(|| format!("bad f64 bit pattern `{s}`")),
-        _ => Err("expected an f64 bit-pattern string".to_string()),
+/// Append `key` (the separator and quoted name) and `x`.
+fn put<T: Field>(out: &mut Vec<u8>, key: &[u8], x: &T) {
+    out.extend_from_slice(key);
+    x.put(out);
+}
+
+/// Read `key` and the value after it.
+fn take<T: Field>(c: &mut Cursor, key: &[u8]) -> Option<T> {
+    c.tag(key)?;
+    T::take(c)
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        push_u64(out, *self);
+    }
+    fn take(c: &mut Cursor) -> Option<u64> {
+        c.u64_dec(MAX_COUNT)
     }
 }
 
-fn pu(v: &Value) -> Result<u64, String> {
-    let x = v.as_num().ok_or("expected a number")?;
-    if x.fract() != 0.0 || x < 0.0 || x > 2f64.powi(53) {
-        return Err(format!("number {x} is not an exact unsigned integer"));
+impl Field for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        push_u64(out, *self as u64);
     }
-    Ok(x as u64)
+    fn take(c: &mut Cursor) -> Option<usize> {
+        usize::try_from(u64::take(c)?).ok()
+    }
 }
 
-fn obj_field<'v>(entries: &'v [(String, Value)], name: &str) -> Result<&'v Value, String> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{name}`"))
+/// A job id.
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        push_u64(out, u64::from(*self));
+    }
+    fn take(c: &mut Cursor) -> Option<u32> {
+        u32::try_from(c.u64_dec(u32::MAX.into())?).ok()
+    }
 }
 
-/// A JSON array of `xs`, each element encoded by `f`.
-fn arr<T>(xs: &[T], f: impl Fn(&T) -> Value) -> Value {
-    Value::Arr(xs.iter().map(f).collect())
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
+    fn take(c: &mut Cursor) -> Option<bool> {
+        c.tag(b"true")
+            .map(|()| true)
+            .or_else(|| c.tag(b"false").map(|()| false))
+    }
 }
 
-/// The array field `name` of `entries`, each element decoded by `f`.
-fn list<T>(
-    entries: &[(String, Value)],
-    name: &str,
-    f: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    obj_field(entries, name)?
-        .as_arr()
-        .ok_or_else(|| format!("`{name}` is not an array"))?
-        .iter()
-        .map(f)
-        .collect()
+/// The quoted 16-hex-digit IEEE-754 bit pattern: exact for every value.
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        push_hex16(out, self.to_bits());
+        out.push(b'"');
+    }
+    fn take(c: &mut Cursor) -> Option<f64> {
+        c.tag(b"\"")?;
+        let bits = c.hex16()?;
+        c.tag(b"\"")?;
+        Some(f64::from_bits(bits))
+    }
 }
 
-/// `v` as an array of exactly `N` elements.
-fn row<const N: usize>(v: &Value) -> Result<&[Value; N], String> {
-    v.as_arr()
-        .and_then(|xs| xs.try_into().ok())
-        .ok_or_else(|| format!("expected an array of {N} elements"))
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(x) => x.put(out),
+            None => out.extend_from_slice(b"null"),
+        }
+    }
+    fn take(c: &mut Cursor) -> Option<Option<T>> {
+        c.tag(b"null")
+            .map(|()| None)
+            .or_else(|| T::take(c).map(Some))
+    }
 }
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            x.put(out);
+        }
+        out.push(b']');
+    }
+    fn take(c: &mut Cursor) -> Option<Vec<T>> {
+        c.tag(b"[")?;
+        let mut xs = Vec::new();
+        while c.tag(b"]").is_none() {
+            if !xs.is_empty() {
+                c.tag(b",")?;
+            }
+            xs.push(T::take(c)?);
+        }
+        Some(xs)
+    }
+}
+
+/// `[a,b]`.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        put(out, b"[", &self.0);
+        put(out, b",", &self.1);
+        out.push(b']');
+    }
+    fn take(c: &mut Cursor) -> Option<(A, B)> {
+        let pair = (take(c, b"[")?, take(c, b",")?);
+        c.tag(b"]")?;
+        Some(pair)
+    }
+}
+
+/// `Field` for a struct written as its fields in the listed order, each
+/// after its key (the separator, and for an object the quoted name),
+/// then `$close`. One list drives both directions, so the encoder and
+/// decoder cannot disagree on a key or its place.
+macro_rules! fields {
+    ($ty:ident { $($field:ident: $key:literal),+ $(,)? } $close:literal) => {
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(put(out, $key, &self.$field);)+
+                out.extend_from_slice($close);
+            }
+            fn take(c: &mut Cursor) -> Option<$ty> {
+                // Struct fields are evaluated in the order written.
+                let x = $ty { $($field: take(c, $key)?),+ };
+                c.tag($close)?;
+                Some(x)
+            }
+        }
+    };
+}
+
+// `[job,start,end,speed]`.
+fields!(Slice { job: b"[", start: b",", end: b",", speed: b"," } b"]");
+
+// Bare `id,release,work,remaining`: a ready job is only ever written as
+// the tail of its live slot's `[slot,id,release,work,remaining]` pair.
+fields!(PendingJob { id: b"", release: b",", work: b",", remaining: b"," } b"");
+
+fields!(ResilienceReport {
+    crashes: b"{\"cr\":",
+    downtime: b",\"dt\":",
+    lost_work: b",\"lw\":",
+    cancelled_jobs: b",\"cj\":",
+    cancelled_work: b",\"cw\":",
+    wasted_energy: b",\"we\":",
+    throttle_clamps: b",\"tc\":",
+    burst_jobs: b",\"bj\":",
+    shed_jobs: b",\"sj\":",
+    shed_work: b",\"sw\":",
+    recovery_latencies: b",\"rl\":",
+    deadline_misses: b",\"dm\":",
+} b"}");
 
 // ---------------------------------------------------------------------
 // Scenario and outcome digests (FNV-1a).
@@ -464,13 +583,24 @@ impl Snapshot {
     ///
     /// # Errors
     /// [`JournalError::ScenarioMismatch`] when the snapshot names a job
-    /// id that `arrivals` does not hold.
+    /// id that `arrivals` does not hold, or counts more arrivals, ready
+    /// slots or fault events than the scenario has.
     pub(crate) fn restore_engine(
         &self,
         arrivals: Vec<Job>,
         plan: &FaultPlan,
         admission: Option<AdmissionConfig>,
     ) -> Result<EngineState, JournalError> {
+        let (n, events) = (arrivals.len() as u64, plan.len() as u64);
+        let counts = [self.next_arrival, self.finished, self.ready_slot_count];
+        if counts.iter().any(|&k| k > n) || self.i_fault > events {
+            let message = format!(
+                "snapshot (na, fin, rc) {counts:?} and if {} exceed the scenario's \
+                 {n} arrivals and {events} fault events",
+                self.i_fault
+            );
+            return Err(JournalError::ScenarioMismatch { message });
+        }
         let ids = IdIndex::new(&arrivals);
         let index = |id: u32| {
             ids.get(id).ok_or_else(|| JournalError::ScenarioMismatch {
@@ -552,191 +682,84 @@ impl Snapshot {
         })
     }
 
-    fn to_value(&self) -> Value {
-        let num = |x: u64| Value::Num(x as f64);
-        let id = |&x: &u32| Value::Num(f64::from(x));
-        let pair = |&(a, b): &(f64, f64)| Value::Arr(vec![fb(a), fb(b)]);
-        let flt = |&x: &f64| fb(x);
-        let r = &self.report;
-        Value::Obj(vec![
-            ("na".into(), num(self.next_arrival)),
-            ("fin".into(), num(self.finished)),
-            ("if".into(), num(self.i_fault)),
-            ("bud".into(), num(self.budget)),
-            ("dn".into(), Value::Bool(self.in_downtime)),
-            ("now".into(), fb(self.now)),
-            ("en".into(), fb(self.energy)),
-            ("du".into(), fb(self.down_until)),
-            ("ds".into(), fb(self.down_since)),
-            ("ed".into(), fb(self.erased_this_down)),
-            ("pr".into(), arr(&self.pending_recoveries, pair)),
-            ("th".into(), arr(&self.throttles, pair)),
-            ("rc".into(), num(self.ready_slot_count)),
-            (
-                "rj".into(),
-                arr(&self.ready_slots, |&(slot, p)| {
-                    let fields = [fb(p.release), fb(p.work), fb(p.remaining)];
-                    Value::Arr([num(slot), id(&p.id)].into_iter().chain(fields).collect())
-                }),
-            ),
-            ("fl".into(), arr(&self.ready_free, |&s| num(s))),
-            ("rq".into(), arr(&self.ready_queue, id)),
-            ("rb".into(), fb(self.ready_backlog)),
-            ("rs".into(), fb(self.ready_seen_work)),
-            (
-                "rf".into(),
-                self.ready_first_arrival.map_or(Value::Null, fb),
-            ),
-            ("bdo".into(), fb(self.band_origin)),
-            ("bdw".into(), fb(self.band_width)),
-            ("bdl".into(), arr(&self.band_live, |&c| num(c))),
-            ("bdr".into(), arr(&self.band_remaining, flt)),
-            ("bda".into(), arr(&self.band_arrived, flt)),
-            (
-                "ej".into(),
-                arr(&self.energy_by_job, |&(j, e)| {
-                    Value::Arr(vec![id(&j), fb(e)])
-                }),
-            ),
-            ("cp".into(), arr(&self.cancelled_pre, id)),
-            ("ca".into(), arr(&self.cancelled_all, id)),
-            ("sh".into(), arr(&self.shed, id)),
-            (
-                "sl".into(),
-                arr(&self.slices, |s| {
-                    Value::Arr(vec![id(&s.job), fb(s.start), fb(s.end), fb(s.speed)])
-                }),
-            ),
-            (
-                "rep".into(),
-                Value::Obj(vec![
-                    ("cr".into(), num(r.crashes as u64)),
-                    ("dt".into(), fb(r.downtime)),
-                    ("lw".into(), fb(r.lost_work)),
-                    ("cj".into(), num(r.cancelled_jobs as u64)),
-                    ("cw".into(), fb(r.cancelled_work)),
-                    ("we".into(), fb(r.wasted_energy)),
-                    ("tc".into(), num(r.throttle_clamps as u64)),
-                    ("bj".into(), num(r.burst_jobs as u64)),
-                    ("sj".into(), num(r.shed_jobs as u64)),
-                    ("sw".into(), fb(r.shed_work)),
-                    ("rl".into(), arr(&r.recovery_latencies, flt)),
-                    (
-                        "dm".into(),
-                        r.deadline_misses.map_or(Value::Null, |m| num(m as u64)),
-                    ),
-                ]),
-            ),
-            ("seq".into(), num(self.seq)),
-            ("wt".into(), num(self.watchdog_trips)),
-            ("bo".into(), Value::Bool(self.breaker_open)),
-            (
-                "ps".into(),
-                self.policy_state
-                    .as_ref()
-                    .map_or(Value::Null, |xs| arr(xs, flt)),
-            ),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Snapshot, String> {
-        let o = v.as_obj().ok_or("snapshot is not an object")?;
-        let id = |v: &Value| pu(v).map(|x| x as u32);
-        let pair = |v: &Value| {
-            let [a, b] = row(v)?;
-            Ok((pf(a)?, pf(b)?))
-        };
-        let num = |name: &str| pu(obj_field(o, name)?);
-        let flt = |name: &str| pf(obj_field(o, name)?);
-        let flag = |name: &str| match obj_field(o, name)? {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(format!("`{name}` is not a boolean")),
-        };
-        let rep = obj_field(o, "rep")?
-            .as_obj()
-            .ok_or("`rep` is not an object")?;
-        let rnum = |name: &str| obj_field(rep, name).and_then(pu).map(|x| x as usize);
-        let rflt = |name: &str| pf(obj_field(rep, name)?);
-        let report = ResilienceReport {
-            crashes: rnum("cr")?,
-            downtime: rflt("dt")?,
-            lost_work: rflt("lw")?,
-            cancelled_jobs: rnum("cj")?,
-            cancelled_work: rflt("cw")?,
-            wasted_energy: rflt("we")?,
-            throttle_clamps: rnum("tc")?,
-            burst_jobs: rnum("bj")?,
-            shed_jobs: rnum("sj")?,
-            shed_work: rflt("sw")?,
-            recovery_latencies: list(rep, "rl", pf)?,
-            deadline_misses: match obj_field(rep, "dm")? {
-                Value::Null => None,
-                v => Some(pu(v)? as usize),
-            },
-        };
-        Ok(Snapshot {
-            next_arrival: num("na")?,
-            finished: num("fin")?,
-            i_fault: num("if")?,
-            budget: num("bud")?,
-            in_downtime: flag("dn")?,
-            now: flt("now")?,
-            energy: flt("en")?,
-            down_until: flt("du")?,
-            down_since: flt("ds")?,
-            erased_this_down: flt("ed")?,
-            pending_recoveries: list(o, "pr", pair)?,
-            throttles: list(o, "th", pair)?,
-            ready_slot_count: num("rc")?,
-            ready_slots: list(o, "rj", |v| {
-                let [slot, id, release, work, remaining] = row(v)?;
-                let id = pu(id)? as u32;
-                let (release, work, remaining) = (pf(release)?, pf(work)?, pf(remaining)?);
-                Ok((
-                    pu(slot)?,
-                    PendingJob {
-                        id,
-                        release,
-                        work,
-                        remaining,
-                    },
-                ))
-            })?,
-            ready_free: list(o, "fl", pu)?,
-            ready_queue: list(o, "rq", id)?,
-            ready_backlog: flt("rb")?,
-            ready_seen_work: flt("rs")?,
-            ready_first_arrival: match obj_field(o, "rf")? {
-                Value::Null => None,
-                v => Some(pf(v)?),
-            },
-            band_origin: flt("bdo")?,
-            band_width: flt("bdw")?,
-            band_live: list(o, "bdl", pu)?,
-            band_remaining: list(o, "bdr", pf)?,
-            band_arrived: list(o, "bda", pf)?,
-            energy_by_job: list(o, "ej", |v| {
-                let [j, e] = row(v)?;
-                Ok((id(j)?, pf(e)?))
-            })?,
-            cancelled_pre: list(o, "cp", id)?,
-            cancelled_all: list(o, "ca", id)?,
-            shed: list(o, "sh", id)?,
-            slices: list(o, "sl", |v| {
-                let [job, start, end, speed] = row(v)?;
-                Ok(Slice::new(id(job)?, pf(start)?, pf(end)?, pf(speed)?))
-            })?,
-            report,
-            seq: num("seq")?,
-            watchdog_trips: num("wt")?,
-            breaker_open: flag("bo")?,
-            policy_state: match obj_field(o, "ps")? {
-                Value::Null => None,
-                _ => Some(list(o, "ps", pf)?),
-            },
-        })
+    /// Check that the ready state agrees with itself: the live slots
+    /// and the free list together use each slot below `rc` exactly
+    /// once, every live job is in the queue, and each band vector has
+    /// [`NUM_BANDS`] entries. [`restore_engine`](Snapshot::restore_engine)
+    /// indexes by all of these.
+    fn check(&self) -> Result<(), String> {
+        let bands = [
+            self.band_live.len(),
+            self.band_remaining.len(),
+            self.band_arrived.len(),
+        ];
+        if bands != [NUM_BANDS; 3] {
+            return Err(format!(
+                "band vectors of {bands:?} entries, not {NUM_BANDS}"
+            ));
+        }
+        let slots = self.ready_slots.len() + self.ready_free.len();
+        if slots as u64 != self.ready_slot_count {
+            let rc = self.ready_slot_count;
+            return Err(format!("{slots} live and free slots, but rc = {rc}"));
+        }
+        let mut used = vec![false; slots];
+        let live = self.ready_slots.iter().map(|&(slot, _)| slot);
+        for slot in live.chain(self.ready_free.iter().copied()) {
+            match used.get_mut(slot as usize) {
+                Some(u) if !*u => *u = true,
+                _ => return Err(format!("slot {slot} is out of range or used twice")),
+            }
+        }
+        let mut queued = self.ready_queue.clone();
+        queued.sort_unstable();
+        match self
+            .ready_slots
+            .iter()
+            .find(|(_, p)| queued.binary_search(&p.id).is_err())
+        {
+            Some((_, p)) => Err(format!("live job {} is not in the ready queue", p.id)),
+            None => Ok(()),
+        }
     }
 }
+
+fields!(Snapshot {
+    next_arrival: b"{\"na\":",
+    finished: b",\"fin\":",
+    i_fault: b",\"if\":",
+    budget: b",\"bud\":",
+    in_downtime: b",\"dn\":",
+    now: b",\"now\":",
+    energy: b",\"en\":",
+    down_until: b",\"du\":",
+    down_since: b",\"ds\":",
+    erased_this_down: b",\"ed\":",
+    pending_recoveries: b",\"pr\":",
+    throttles: b",\"th\":",
+    ready_slot_count: b",\"rc\":",
+    ready_slots: b",\"rj\":",
+    ready_free: b",\"fl\":",
+    ready_queue: b",\"rq\":",
+    ready_backlog: b",\"rb\":",
+    ready_seen_work: b",\"rs\":",
+    ready_first_arrival: b",\"rf\":",
+    band_origin: b",\"bdo\":",
+    band_width: b",\"bdw\":",
+    band_live: b",\"bdl\":",
+    band_remaining: b",\"bdr\":",
+    band_arrived: b",\"bda\":",
+    energy_by_job: b",\"ej\":",
+    cancelled_pre: b",\"cp\":",
+    cancelled_all: b",\"ca\":",
+    shed: b",\"sh\":",
+    slices: b",\"sl\":",
+    report: b",\"rep\":",
+    seq: b",\"seq\":",
+    watchdog_trips: b",\"wt\":",
+    breaker_open: b",\"bo\":",
+    policy_state: b",\"ps\":",
+} b"}");
 
 // ---------------------------------------------------------------------
 // The journal itself.
@@ -772,7 +795,8 @@ pub struct Journal {
     sink: Sink,
     records: u64,
     path: Option<PathBuf>,
-    /// Reused line buffer for decision records (the per-step write).
+    /// Reused line buffer every record is encoded into; it starts with
+    /// room for any decision line (the per-step write).
     scratch: Vec<u8>,
 }
 
@@ -782,7 +806,7 @@ impl Journal {
             sink,
             records: 0,
             path,
-            scratch: Vec::new(),
+            scratch: Vec::with_capacity(256),
         }
     }
 
@@ -804,15 +828,24 @@ impl Journal {
     }
 
     /// Open an existing journal file for appending (the restore path:
-    /// replayed history stays, new decisions extend it).
+    /// replayed history stays, new decisions extend it). A record is
+    /// durable once its newline is written, so a torn tail — whatever
+    /// follows the file's last newline — is cut off first, and the next
+    /// record starts a line of its own.
     ///
     /// # Errors
-    /// [`JournalError::Io`] if the file cannot be opened.
+    /// [`JournalError::Io`] if the file cannot be opened, read or cut.
     pub fn append(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
+        let bytes = std::fs::read(path.as_ref()).map_err(io_err)?;
+        let durable = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path.as_ref())
             .map_err(io_err)?;
+        file.set_len(durable as u64).map_err(io_err)?;
         Ok(Journal::with_sink(
             Sink::File(std::io::BufWriter::new(file)),
             Some(path.as_ref().to_path_buf()),
@@ -837,8 +870,11 @@ impl Journal {
         }
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.sink.write_line(line.as_bytes())?;
+    /// Encode one record into the reused line buffer and write it.
+    fn write_record(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), JournalError> {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.sink.write_line(&self.scratch)?;
         self.records += 1;
         Ok(())
     }
@@ -849,99 +885,116 @@ impl Journal {
         events: usize,
         digest: u64,
     ) -> Result<(), JournalError> {
-        self.write_line(&format!(
-            "{{\"t\":\"hdr\",\"v\":{JOURNAL_VERSION},\"n\":{n},\"ev\":{events},\"dig\":\"{digest:016x}\"}}"
-        ))
+        self.write_record(|out| {
+            encode_header(out, JOURNAL_VERSION, n as u64, events as u64, digest)
+        })
     }
 
     pub(crate) fn write_decision(&mut self, rec: &DecisionRecord) -> Result<(), JournalError> {
-        self.scratch.clear();
-        encode_decision(&mut self.scratch, rec);
-        self.sink.write_line(&self.scratch)?;
-        self.records += 1;
-        Ok(())
+        self.write_record(|out| encode_decision(out, rec))
     }
 
     pub(crate) fn write_snapshot(&mut self, snap: &Snapshot) -> Result<(), JournalError> {
-        let state = serde_json::to_string(&snap.to_value()).map_err(|e| JournalError::Io {
-            message: e.to_string(),
-        })?;
-        self.write_line(&format!(
-            "{{\"t\":\"snap\",\"s\":{},\"st\":{state}}}",
-            snap.seq
-        ))
+        self.write_record(|out| encode_snapshot(out, snap))
     }
 }
 
 // ---------------------------------------------------------------------
-// Decision lines. `encode_decision` and `decode_decision` are inverses:
-// the scanner accepts exactly the bytes the encoder writes and nothing
-// else, so every decoded value round-trips bit for bit.
+// Journal lines. Each `encode_*` writes one line kind (no newline) and
+// `decode_line` reads back exactly those bytes and nothing else, so
+// every decoded value round-trips bit for bit.
 
-/// Append `rec` as one journal line (no newline) to `out`.
+fn encode_header(out: &mut Vec<u8>, version: u64, n: u64, events: u64, digest: u64) {
+    put(out, b"{\"t\":\"hdr\",\"v\":", &version);
+    put(out, b",\"n\":", &n);
+    put(out, b",\"ev\":", &events);
+    out.extend_from_slice(b",\"dig\":\"");
+    push_hex16(out, digest);
+    out.extend_from_slice(b"\"}");
+}
+
 fn encode_decision(out: &mut Vec<u8>, rec: &DecisionRecord) {
-    let flag = |b: bool| -> &[u8] {
-        if b {
-            b"true"
-        } else {
-            b"false"
-        }
-    };
-    out.extend_from_slice(b"{\"t\":\"dec\",\"s\":");
-    push_u64(out, rec.seq);
-    out.extend_from_slice(b",\"c\":");
-    out.extend_from_slice(flag(rec.consulted));
-    out.extend_from_slice(b",\"w\":");
-    out.extend_from_slice(flag(rec.tripped));
+    put(out, b"{\"t\":\"dec\",\"s\":", &rec.seq);
+    put(out, b",\"c\":", &rec.consulted);
+    put(out, b",\"w\":", &rec.tripped);
     match &rec.decision {
         Some(d) => {
-            out.extend_from_slice(b",\"j\":");
-            push_u64(out, d.job.into());
-            out.extend_from_slice(b",\"v\":\"");
-            push_hex16(out, d.speed.to_bits());
-            if let Some(r) = d.recheck_after {
-                out.extend_from_slice(b"\",\"r\":\"");
-                push_hex16(out, r.to_bits());
+            put(out, b",\"j\":", &d.job);
+            put(out, b",\"v\":", &d.speed);
+            if let Some(r) = &d.recheck_after {
+                put(out, b",\"r\":", r);
             }
-            out.extend_from_slice(b"\"}");
         }
-        None => out.extend_from_slice(b",\"j\":null}"),
+        None => out.extend_from_slice(b",\"j\":null"),
+    }
+    out.push(b'}');
+}
+
+/// The snapshot's `seq` is written twice: in the line and in the state.
+fn encode_snapshot(out: &mut Vec<u8>, snap: &Snapshot) {
+    put(out, b"{\"t\":\"snap\",\"s\":", &snap.seq);
+    put(out, b",\"st\":", snap);
+    out.push(b'}');
+}
+
+/// Decode one line an `encode_*` function wrote; anything else is an
+/// error naming the byte where reading stopped, and a snapshot must
+/// also pass [`Snapshot::check`].
+fn decode_line(line: &[u8]) -> Result<Record, String> {
+    let mut c = Cursor::new(line);
+    match decode_record(&mut c) {
+        Some(Record::Snapshot(snap)) => snap.check().map(|()| Record::Snapshot(snap)),
+        Some(rec) => Ok(rec),
+        None => Err(format!(
+            "not a line the journal writes (read to byte {} of {})",
+            line.len() - c.rest().len(),
+            line.len()
+        )),
     }
 }
 
-/// Decode a line `encode_decision` wrote; `None` for any other line.
-fn decode_decision(line: &str) -> Option<DecisionRecord> {
-    let flag = |c: &mut Cursor| match c.tag(b"true") {
-        Some(()) => Some(true),
-        None => c.tag(b"false").map(|()| false),
-    };
-    let mut c = Cursor::new(line.as_bytes());
-    c.tag(b"{\"t\":\"dec\",\"s\":")?;
-    let seq = c.u64_dec(1 << 53)?;
-    c.tag(b",\"c\":")?;
-    let consulted = flag(&mut c)?;
-    c.tag(b",\"w\":")?;
-    let tripped = flag(&mut c)?;
-    c.tag(b",\"j\":")?;
-    let decision = if c.tag(b"null").is_some() {
-        None
+fn decode_record(c: &mut Cursor) -> Option<Record> {
+    let rec = if c.tag(b"{\"t\":\"dec\",\"s\":").is_some() {
+        Record::Decision(decode_decision(c)?)
+    } else if c.tag(b"{\"t\":\"hdr\",\"v\":").is_some() {
+        let (version, n, events) = (u64::take(c)?, take(c, b",\"n\":")?, take(c, b",\"ev\":")?);
+        c.tag(b",\"dig\":\"")?;
+        let digest = c.hex16()?;
+        c.tag(b"\"}")?;
+        Record::Header {
+            version,
+            n,
+            events,
+            digest,
+        }
     } else {
-        let job = u32::try_from(c.u64_dec(u32::MAX.into())?).ok()?;
-        c.tag(b",\"v\":\"")?;
-        let speed = f64::from_bits(c.hex16()?);
-        let recheck_after = match c.tag(b"\",\"r\":\"") {
-            Some(()) => Some(f64::from_bits(c.hex16()?)),
-            None => None,
-        };
-        c.tag(b"\"")?;
-        Some(Decision {
-            job,
-            speed,
-            recheck_after,
-        })
+        let seq: u64 = take(c, b"{\"t\":\"snap\",\"s\":")?;
+        let snap: Snapshot = take(c, b",\"st\":")?;
+        c.tag(b"}")?;
+        (snap.seq == seq).then_some(())?;
+        Record::Snapshot(Box::new(snap))
+    };
+    c.end()?;
+    Some(rec)
+}
+
+/// The rest of a decision line, after its `{"t":"dec","s":` prefix.
+fn decode_decision(c: &mut Cursor) -> Option<DecisionRecord> {
+    let seq = u64::take(c)?;
+    let consulted = take(c, b",\"c\":")?;
+    let tripped = take(c, b",\"w\":")?;
+    let decision = match c.tag(b",\"j\":null") {
+        Some(()) => None,
+        None => Some(Decision {
+            job: take(c, b",\"j\":")?,
+            speed: take(c, b",\"v\":")?,
+            recheck_after: match c.tag(b",\"r\":") {
+                Some(()) => Some(f64::take(c)?),
+                None => None,
+            },
+        }),
     };
     c.tag(b"}")?;
-    c.end()?;
     Some(DecisionRecord {
         seq,
         decision,
@@ -950,36 +1003,25 @@ fn decode_decision(line: &str) -> Option<DecisionRecord> {
     })
 }
 
-/// Parse a journal's records. A malformed or truncated *final* line is
-/// a torn tail (normal after `SIGKILL`) and is silently dropped; a
-/// malformed interior line, or a decision whose `seq` breaks the
-/// 1, 2, 3, … file order, is a hard error.
+/// Parse a journal's records. Only newline-terminated lines are
+/// records: an unterminated final line is a torn tail (normal after a
+/// `SIGKILL`) and is dropped. A terminated line outside the writer's
+/// grammar, an inconsistent snapshot, or a decision whose `seq` breaks
+/// the 1, 2, 3, … file order is [`JournalError::Malformed`].
 pub(crate) fn read_records(text: &str) -> Result<Vec<Record>, JournalError> {
+    let durable = text.rfind('\n').map_or("", |end| &text[..=end]);
     let mut out = Vec::new();
     let mut next_seq = 1;
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((i, line)) = lines.next() {
-        let parsed = match decode_decision(line) {
-            Some(d) => Ok(Record::Decision(d)),
-            None if line.trim().is_empty() => continue,
-            None => parse_record(line),
+    for (i, line) in durable.split_terminator('\n').enumerate() {
+        let malformed = |message| JournalError::Malformed {
+            line: i + 1,
+            message,
         };
-        let rec = match parsed {
-            Ok(rec) => rec,
-            Err(_) if lines.peek().is_none() => break, // torn tail
-            Err(message) => {
-                return Err(JournalError::Malformed {
-                    line: i + 1,
-                    message,
-                })
-            }
-        };
+        let rec = decode_line(line.as_bytes()).map_err(malformed)?;
         if let Record::Decision(d) = &rec {
             if d.seq != next_seq {
-                return Err(JournalError::Malformed {
-                    line: i + 1,
-                    message: format!("decision seq {}, expected {next_seq}", d.seq),
-                });
+                let expected = format!("decision seq {}, expected {next_seq}", d.seq);
+                return Err(malformed(expected));
             }
             next_seq += 1;
         }
@@ -988,84 +1030,12 @@ pub(crate) fn read_records(text: &str) -> Result<Vec<Record>, JournalError> {
     Ok(out)
 }
 
-fn parse_record(line: &str) -> Result<Record, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let o = v.as_obj().ok_or("record is not an object")?;
-    let tag = match obj_field(o, "t")? {
-        Value::Str(s) => s.clone(),
-        _ => return Err("`t` is not a string".to_string()),
-    };
-    match tag.as_str() {
-        "hdr" => {
-            let digest = match obj_field(o, "dig")? {
-                Value::Str(s) => {
-                    let mut c = Cursor::new(s.as_bytes());
-                    c.hex16()
-                        .filter(|_| c.end().is_some())
-                        .ok_or_else(|| format!("bad digest `{s}`"))?
-                }
-                _ => return Err("`dig` is not a string".to_string()),
-            };
-            Ok(Record::Header {
-                version: pu(obj_field(o, "v")?)?,
-                n: pu(obj_field(o, "n")?)?,
-                events: pu(obj_field(o, "ev")?)?,
-                digest,
-            })
-        }
-        "dec" => {
-            let decision = match obj_field(o, "j")? {
-                Value::Null => None,
-                j => Some(Decision {
-                    job: pu(j)? as u32,
-                    speed: pf(obj_field(o, "v")?)?,
-                    recheck_after: match o.iter().find(|(k, _)| k == "r") {
-                        Some((_, r)) => Some(pf(r)?),
-                        None => None,
-                    },
-                }),
-            };
-            let flag = |name: &str| -> Result<bool, String> {
-                match obj_field(o, name)? {
-                    Value::Bool(b) => Ok(*b),
-                    _ => Err(format!("`{name}` is not a boolean")),
-                }
-            };
-            Ok(Record::Decision(DecisionRecord {
-                seq: pu(obj_field(o, "s")?)?,
-                decision,
-                consulted: flag("c")?,
-                tripped: flag("w")?,
-            }))
-        }
-        "snap" => Ok(Record::Snapshot(Box::new(Snapshot::from_value(
-            obj_field(o, "st")?,
-        )?))),
-        other => Err(format!("unknown record tag `{other}`")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::ShedPolicy;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
-
-    #[test]
-    fn f64_bits_round_trip_exactly() {
-        for &x in &[
-            0.0,
-            -0.0,
-            1.5,
-            1e9 + 1e-3,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-        ] {
-            let v = fb(x);
-            assert_eq!(pf(&v).unwrap().to_bits(), x.to_bits());
-        }
-    }
 
     #[test]
     fn decision_records_round_trip() {
@@ -1134,12 +1104,23 @@ mod tests {
         let torn = format!("{good}{{\"t\":\"dec\",\"s\":2,");
         let recs = read_records(&torn).unwrap();
         assert_eq!(recs.len(), 2);
+        // A final line without its newline is not durable, however
+        // complete it looks.
+        assert_eq!(read_records(good.trim_end()).unwrap(), recs[..1]);
         // Interior corruption is not silently skipped.
         let corrupt = format!("not json\n{good}");
         assert!(matches!(
             read_records(&corrupt),
             Err(JournalError::Malformed { line: 1, .. })
         ));
+        // Nor is a terminated final line outside the grammar, or a
+        // blank one (the writer writes neither).
+        for bad in [format!("{good}not json\n"), format!("{good}\n")] {
+            assert!(matches!(
+                read_records(&bad),
+                Err(JournalError::Malformed { line: 3, .. })
+            ));
+        }
     }
 
     fn dec(seq: u64, decision: Option<Decision>) -> DecisionRecord {
@@ -1151,10 +1132,24 @@ mod tests {
         }
     }
 
-    fn encoded(rec: &DecisionRecord) -> String {
-        let mut line = Vec::new();
-        encode_decision(&mut line, rec);
-        String::from_utf8(line).unwrap()
+    /// The line the journal writes for `rec`.
+    fn encoded(rec: &Record) -> String {
+        let mut out = Vec::new();
+        match rec {
+            &Record::Header {
+                version,
+                n,
+                events,
+                digest,
+            } => encode_header(&mut out, version, n, events, digest),
+            Record::Decision(d) => encode_decision(&mut out, d),
+            Record::Snapshot(s) => encode_snapshot(&mut out, s),
+        }
+        String::from_utf8(out).unwrap()
+    }
+
+    fn encoded_decision(rec: &DecisionRecord) -> String {
+        encoded(&Record::Decision(rec.clone()))
     }
 
     #[test]
@@ -1193,8 +1188,11 @@ mod tests {
         ];
         let mut j = Journal::memory();
         for (rec, line) in golden {
-            assert_eq!(encoded(rec), line);
-            assert_eq!(decode_decision(line).as_ref(), Some(rec));
+            assert_eq!(encoded_decision(rec), line);
+            assert_eq!(
+                decode_line(line.as_bytes()),
+                Ok(Record::Decision(rec.clone()))
+            );
             j.write_decision(rec).unwrap();
         }
         let want: String = golden.iter().map(|(_, l)| format!("{l}\n")).collect();
@@ -1253,60 +1251,103 @@ mod tests {
             == (b.seq, b.consulted, b.tripped, bits(&b.decision))
     }
 
-    /// Whenever the scanner accepts a line, the JSON parser must agree.
-    fn scanner_agrees_with_parser(line: &str) {
-        if let Some(fast) = decode_decision(line) {
-            match parse_record(line) {
-                Ok(Record::Decision(slow)) => assert!(same_bits(&fast, &slow), "{line}"),
-                other => panic!("scanner accepted `{line}`, parser gave {other:?}"),
+    /// The codec is canonical on `line`: it is rejected, or it decodes to
+    /// a record whose encoding is `line` again. Returns whether it was
+    /// accepted.
+    fn canonical(line: &str) -> bool {
+        match decode_line(line.as_bytes()) {
+            Ok(rec) => {
+                assert_eq!(encoded(&rec), line, "decoded to {rec:?}");
+                true
             }
+            Err(_) => false,
         }
     }
 
+    /// `canonical` on every byte prefix of `line` and on single-byte
+    /// ASCII mutations of it: every byte value at a `1 / stride` sample
+    /// of positions, and the digits at every other position. Returns
+    /// the number of mutants accepted.
+    fn mutants_are_canonical(line: &str, stride: usize, rng: &mut StdRng) -> usize {
+        for k in 0..line.len() {
+            assert!(!canonical(&line[..k]), "accepted a prefix of {line}");
+        }
+        let mut accepted = 0;
+        for at in 0..line.len() {
+            let every = rng.next_u64().is_multiple_of(stride as u64);
+            let bytes: Vec<u8> = if every {
+                (0u8..128).collect()
+            } else {
+                (b'0'..=b'9').collect()
+            };
+            for b in bytes {
+                let mut m = line.as_bytes().to_vec();
+                m[at] = b;
+                accepted += usize::from(canonical(&String::from_utf8(m).unwrap()));
+            }
+        }
+        accepted
+    }
+
     #[test]
-    fn scanner_round_trips_random_records_bit_exactly() {
+    fn random_decisions_round_trip_and_every_mutant_is_canonical() {
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for _ in 0..20_000 {
             let rec = random_record(&mut rng);
-            let line = encoded(&rec);
-            let back = decode_decision(&line).unwrap_or_else(|| panic!("rejected `{line}`"));
-            assert!(same_bits(&back, &rec), "{line}");
-            scanner_agrees_with_parser(&line);
+            let line = encoded_decision(&rec);
+            match decode_line(line.as_bytes()) {
+                Ok(Record::Decision(back)) => assert!(same_bits(&back, &rec), "{line}"),
+                other => panic!("`{line}` decoded to {other:?}"),
+            }
         }
-    }
-
-    #[test]
-    fn scanner_never_accepts_what_the_parser_reads_differently() {
-        let mut rng = StdRng::seed_from_u64(0xbad);
-        let mut accepted_mutants = 0usize;
+        let mut accepted = 0;
         for case in 0..120 {
-            let line = encoded(&random_record(&mut rng));
-            for k in 0..line.len() {
-                scanner_agrees_with_parser(&line[..k]);
-            }
-            let bytes = line.as_bytes();
-            for at in 0..bytes.len() {
-                // Every ASCII byte at every position (a non-ASCII byte
-                // would not be a `&str`); a sample of cases for speed.
-                if case >= 12 && rng.next_u64() % 4 != 0 {
-                    continue;
-                }
-                for b in 0u8..128 {
-                    let mut m = bytes.to_vec();
-                    m[at] = b;
-                    let m = String::from_utf8(m).unwrap();
-                    accepted_mutants += usize::from(decode_decision(&m).is_some());
-                    scanner_agrees_with_parser(&m);
-                }
-            }
+            let line = encoded_decision(&random_record(&mut rng));
+            accepted += mutants_are_canonical(&line, if case < 12 { 1 } else { 4 }, &mut rng);
         }
         // Digit flips in `s`, `j`, and the hex fields stay well-formed:
-        // the agreement check really ran on accepted mutants.
-        assert!(accepted_mutants > 1000, "{accepted_mutants}");
+        // the re-encoding check really ran on accepted mutants.
+        assert!(accepted > 1000, "{accepted}");
     }
 
     #[test]
-    fn scanner_rejects_lines_outside_the_writer_grammar() {
+    fn headers_and_served_snapshots_round_trip_and_every_mutant_is_canonical() {
+        let mut rng = StdRng::seed_from_u64(0xbad);
+        for (n, events, digest) in [(0, 0, 0), (10, 2, 0xdead_beef), (1 << 53, 7, u64::MAX)] {
+            let header = Record::Header {
+                version: JOURNAL_VERSION,
+                n,
+                events,
+                digest,
+            };
+            let line = encoded(&header);
+            assert_eq!(decode_line(line.as_bytes()), Ok(header));
+            assert!(mutants_are_canonical(&line, 1, &mut rng) > 100);
+        }
+        // The first snapshot with live jobs of a short run under each
+        // admission policy; gated runs also cancel a job before it
+        // arrives.
+        for shed in [
+            None,
+            Some(ShedPolicy::RejectNewest),
+            Some(ShedPolicy::EvictOldest),
+            Some(ShedPolicy::DeadlineAware {
+                slo: 2.0,
+                service_rate: 1.0,
+            }),
+        ] {
+            let (text, _) = served_journal_and_digest(12, shed);
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(r#"{"t":"snap""#) && l.contains(r#""rj":[["#))
+                .expect("a snapshot with live jobs");
+            assert!(canonical(line), "{line}");
+            assert!(mutants_are_canonical(line, 32, &mut rng) > 100, "{shed:?}");
+        }
+    }
+
+    #[test]
+    fn lines_outside_the_writer_grammar_are_rejected() {
         for line in [
             r#"{"t":"dec","s":01,"c":true,"w":false,"j":null}"#,
             r#"{"t":"dec","s":1,"c":true,"w":false,"j":null} "#,
@@ -1317,24 +1358,84 @@ mod tests {
             r#"{"t":"dec","s":1,"c":true,"w":false,"j":1,"v":"3FF0000000000000"}"#,
             r#"{"t":"dec","s":1,"c":true,"w":false,"j":1,"v":"+ff0000000000000"}"#,
             r#"{"t":"dec","s":1,"c":true,"w":false,"j":null,"v":"3ff0000000000000"}"#,
+            "{\"t\":\"dec\",\"s\":1,\"c\":true,\"w\":false,\"j\":null}\r",
             r#"{"t":"hdr","s":1,"c":true,"w":false,"j":null}"#,
+            r#"{"t":"hdr","v":2,"n":1,"ev":0,"dig":"0000000000000001","x":1}"#,
+            r#"{"t":"hdr", "v":2,"n":1,"ev":0,"dig":"0000000000000001"}"#,
+            r#"{"t":"snap","s":0,"st":{}}"#,
+            "",
         ] {
-            assert_eq!(decode_decision(line), None, "{line}");
+            assert!(decode_line(line.as_bytes()).is_err(), "{line}");
         }
-        // Lines the scanner leaves to the parser still read as before.
-        assert_eq!(
-            parse_record(r#"{"t":"dec", "s":01,"c":true,"w":false,"j":null}"#),
-            Ok(Record::Decision(dec(1, None)))
+    }
+
+    #[test]
+    fn a_job_id_past_u32_is_malformed() {
+        // Once read as job 0 by a JSON fallback that truncated it.
+        let mut j = Journal::memory();
+        j.write_header(1, 0, 1).unwrap();
+        let good = j.contents().unwrap().to_string();
+        let wide = r#"{"t":"dec","s":1,"c":true,"w":false,"j":4294967296,"v":"3ff0000000000000"}"#;
+        let tail = encoded_decision(&dec(2, None));
+        assert!(matches!(
+            read_records(&format!("{good}{wide}\n{tail}\n")),
+            Err(JournalError::Malformed { line: 2, .. })
+        ));
+        // So is a snapshot naming one; `u32::MAX` itself still reads.
+        let text = served_journal();
+        let line = text.lines().find(|l| l.contains(r#""rq":["#)).unwrap();
+        let with = |id: u64| line.replacen(r#""rq":["#, &format!(r#""rq":[{id},"#), 1);
+        assert!(decode_line(with(u32::MAX.into()).as_bytes()).is_ok());
+        assert!(decode_line(with(1 << 32).as_bytes()).is_err());
+    }
+
+    #[test]
+    fn an_old_version_header_is_a_scenario_mismatch() {
+        use crate::online::OnlinePolicy;
+        use crate::serve::{ServeConfig, Server};
+        let (text, _) = served_journal_and_digest(12, None);
+        let old = text.replacen(r#"{"t":"hdr","v":2,"#, r#"{"t":"hdr","v":1,"#, 1);
+        assert!(matches!(
+            read_records(&old).unwrap()[0],
+            Record::Header { version: 1, .. }
+        ));
+        struct Idle;
+        impl OnlinePolicy for Idle {
+            fn decide(
+                &mut self,
+                _: f64,
+                _: &dyn crate::online::ReadyView,
+                _: f64,
+            ) -> Option<Decision> {
+                None
+            }
+        }
+        let instance = pas_workload::generators::poisson(12, 0.8, (0.5, 1.5), 7);
+        let err = Server::restore(
+            &instance,
+            &pas_power::PolyPower::CUBE,
+            &FaultPlan::none(),
+            ServeConfig::default(),
+            &old,
+            Journal::memory(),
+            &mut Idle,
+        )
+        .err()
+        .expect("an old version does not restore");
+        let source = std::error::Error::source(&err).and_then(|e| e.downcast_ref::<JournalError>());
+        assert!(
+            matches!(source, Some(JournalError::ScenarioMismatch { .. })),
+            "{err}"
         );
     }
 
     /// A real journal: header, decisions of all three shapes, and
-    /// snapshots, from a small faulted serving run, with its outcome
-    /// digest. `gated` serves it behind a 3-slot `EvictOldest` queue
-    /// and cancels the last job before it arrives.
-    fn served_journal_and_digest(gated: bool) -> (String, u64) {
+    /// snapshots, from a small faulted serving run of `n` jobs, with its
+    /// outcome digest. With `shed` it is served behind a 3-slot queue
+    /// that sheds so, and the last job is cancelled before it arrives.
+    fn served_journal_and_digest(n: usize, shed: Option<ShedPolicy>) -> (String, u64) {
         use crate::faults::{FaultEvent, FaultModel};
-        use crate::online::{OnlinePolicy, ReadyView, ShedPolicy};
+        use crate::online::{OnlinePolicy, ReadyView};
         use crate::serve::{ServeConfig, Server};
         use pas_workload::generators;
 
@@ -1355,11 +1456,11 @@ mod tests {
             }
         }
 
-        let instance = generators::poisson(60, 0.8, (0.5, 1.5), 7);
+        let instance = generators::poisson(n, 0.8, (0.5, 1.5), 7);
         let horizon = instance.last_release() + instance.total_work();
         let ids: Vec<u32> = instance.jobs().iter().map(|j| j.id).collect();
         let mut plan = FaultModel::uniform_mix(8.0 / horizon).sample(horizon, &ids, 7);
-        if gated {
+        if shed.is_some() {
             // The sampled plan cancels no job before it arrives.
             let last = *instance.jobs().last().unwrap();
             let mut events = plan.events().to_vec();
@@ -1372,10 +1473,7 @@ mod tests {
         let config = ServeConfig {
             snapshot_every: Some(16),
             watchdog: None,
-            admission: gated.then_some(AdmissionConfig {
-                capacity: 3,
-                shed: ShedPolicy::EvictOldest,
-            }),
+            admission: shed.map(|shed| AdmissionConfig { capacity: 3, shed }),
             ..ServeConfig::default()
         };
         let model = pas_power::PolyPower::CUBE;
@@ -1387,7 +1485,7 @@ mod tests {
     }
 
     fn served_journal() -> String {
-        served_journal_and_digest(false).0
+        served_journal_and_digest(60, None).0
     }
 
     fn fnv_pin(text: &str) -> (usize, u64) {
@@ -1410,7 +1508,7 @@ mod tests {
         // one exercises every per-job list a snapshot writes. Recorded
         // before the engine's per-job bookkeeping moved into one
         // arrival-indexed table.
-        let (text, digest) = served_journal_and_digest(true);
+        let (text, digest) = served_journal_and_digest(60, Some(ShedPolicy::EvictOldest));
         let full = read_records(&text).unwrap().into_iter().any(|r| match r {
             Record::Snapshot(s) => {
                 !s.energy_by_job.is_empty()
@@ -1426,22 +1524,51 @@ mod tests {
     }
 
     #[test]
-    fn read_records_matches_line_by_line_parsing() {
+    fn read_records_decodes_a_served_journal_line_by_line() {
         let text = served_journal();
-        let lines: Vec<&str> = text.lines().collect();
-        let kinds = |p: fn(&Record) -> bool| {
-            lines
-                .iter()
-                .filter(|l| parse_record(l).is_ok_and(|r| p(&r)))
-                .count()
-        };
-        assert!(kinds(|r| matches!(r, Record::Snapshot(_))) >= 2);
+        let want: Vec<Record> = text
+            .lines()
+            .map(|l| decode_line(l.as_bytes()).unwrap())
+            .collect();
+        let snapshots = want
+            .iter()
+            .filter(|r| matches!(r, Record::Snapshot(_)))
+            .count();
+        assert!(snapshots >= 2);
         assert!(text.contains("\"j\":null") && text.contains("\"r\":\""));
-        let want: Vec<Record> = lines.iter().map(|l| parse_record(l).unwrap()).collect();
         assert_eq!(read_records(&text).unwrap(), want);
         // With a torn tail: the final record cut mid-line is dropped.
         let torn = &text[..text.len() - 9];
         assert_eq!(read_records(torn).unwrap(), want[..want.len() - 1]);
+    }
+
+    #[test]
+    fn inconsistent_snapshots_are_malformed() {
+        let text = served_journal_and_digest(12, Some(ShedPolicy::EvictOldest)).0;
+        let line = text
+            .lines()
+            .rfind(|l| l.starts_with(r#"{"t":"snap""#))
+            .unwrap();
+        let Ok(Record::Snapshot(snap)) = decode_line(line.as_bytes()) else {
+            panic!("{line}");
+        };
+        assert!(!snap.ready_slots.is_empty());
+        let broken = |edit: fn(&mut Snapshot)| {
+            let mut s = snap.clone();
+            edit(&mut s);
+            decode_line(encoded(&Record::Snapshot(s)).as_bytes()).unwrap_err()
+        };
+        broken(|s| s.ready_slots[0].0 = 90);
+        broken(|s| s.ready_slot_count += 1);
+        broken(|s| {
+            s.ready_free.push(s.ready_slots[0].0);
+            s.ready_slot_count += 1;
+        });
+        broken(|s| {
+            s.band_live.pop();
+        });
+        broken(|s| s.band_arrived.push(0.0));
+        broken(|s| s.ready_queue.clear());
     }
 
     #[test]
@@ -1452,7 +1579,7 @@ mod tests {
         let short = r#"{"t":"dec","s":1,"c":true,"w":false,"j":0,"v":"3ff000000000000"}"#;
         // `from_str_radix` would read the sign; a bit pattern has none.
         let signed = r#"{"t":"dec","s":1,"c":true,"w":false,"j":0,"v":"+ff0000000000000"}"#;
-        let tail = encoded(&dec(2, None));
+        let tail = encoded_decision(&dec(2, None));
         for bad in [short, signed] {
             assert!(matches!(
                 read_records(&format!("{good}{bad}\n{tail}\n")),
@@ -1468,7 +1595,7 @@ mod tests {
         let good = j.contents().unwrap().to_string();
         assert!(good.contains(r#""dig":"0000000000000001""#));
         // A decision follows, so the bad header is not a torn tail.
-        let tail = encoded(&dec(1, None));
+        let tail = encoded_decision(&dec(1, None));
         assert!(read_records(&format!("{good}{tail}\n")).is_ok());
         for bad in ["+000000000000001", "000000000000001", "00000000000000001"] {
             let text = format!("{}{tail}\n", good.replace("0000000000000001", bad));
@@ -1490,7 +1617,7 @@ mod tests {
         let body = |seqs: &[u64]| {
             let mut text = header.clone();
             for &s in seqs {
-                text.push_str(&encoded(&dec(s, None)));
+                text.push_str(&encoded_decision(&dec(s, None)));
                 text.push('\n');
             }
             read_records(&text)

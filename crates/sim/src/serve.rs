@@ -230,8 +230,9 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     /// Restore a crashed serving run from its journal contents.
     ///
     /// `prior` is the text of the journal the dead process left behind
-    /// (a torn final line is tolerated); `journal` is the sink new
-    /// records go to — typically [`Journal::append`] on the same path,
+    /// (an unterminated final line is a torn tail and is dropped);
+    /// `journal` is the sink new records go to — typically
+    /// [`Journal::append`] on the same path, which cuts that torn tail,
     /// so replayed history stays in place and new decisions extend it.
     ///
     /// The restore base is the last snapshot that captured policy state
@@ -248,8 +249,10 @@ impl<'a, M: pas_power::PowerModel> Server<'a, M> {
     /// [`SimError::InvalidConfig`] as [`Server::new`];
     /// [`SimError::Solver`] wrapping [`JournalError::ScenarioMismatch`]
     /// if the journal belongs to a different scenario (instance, fault
-    /// plan, admission config, or format version), or other
-    /// [`JournalError`]s for unreadable interior records.
+    /// plan, admission config, or format version) or its restore base
+    /// counts more arrivals, ready slots or fault events than the
+    /// scenario has, or [`JournalError::Malformed`] for a line outside
+    /// the journal's grammar or an inconsistent snapshot.
     pub fn restore(
         instance: &Instance,
         model: &'a M,

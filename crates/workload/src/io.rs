@@ -1,21 +1,17 @@
-//! The bit-exact `f64` hex codec and the byte codec built on it
-//! ([`push_hex16`], [`push_u64`], [`Cursor`]) that the fleet event
-//! trace and the serve journal both write and read their lines with.
+//! The bit-exact byte codec ([`push_hex16`], [`push_u64`], [`Cursor`])
+//! that the fleet event trace and the serve journal both write and read
+//! their lines with.
+//!
+//! Decimal formatting is shortest-round-trip in Rust, but serialized
+//! traces that must replay **bit-identically** (the fleet event trace,
+//! the serve journal) encode each `f64` as its 16-hex-digit IEEE-754 bit
+//! pattern instead, so no parser in any language can reintroduce
+//! rounding.
 
-/// Bit-exact `f64` encoding: the 16-hex-digit IEEE-754 bit pattern.
-///
-/// Decimal formatting is shortest-round-trip in Rust, but serialized
-/// traces that must replay **bit-identically** (the fleet event trace,
-/// the serve journal) encode raw bits instead, so no parser in any
-/// language can reintroduce rounding. Inverse: [`f64_from_hex`].
-pub fn f64_to_hex(x: f64) -> String {
-    let mut out = Vec::with_capacity(16);
-    push_hex16(&mut out, x.to_bits());
-    String::from_utf8(out).expect("hex digits are ASCII")
-}
-
-/// Decode a [`f64_to_hex`] bit pattern; `None` for anything that is not
-/// exactly 16 hex digits (either case; no sign, no prefix).
+/// Decode a 16-hex-digit `f64` bit pattern (the [`push_hex16`] of its
+/// `to_bits`); `None` for anything that is not exactly 16 hex digits
+/// (either case; no sign, no prefix). The fleet trace's tolerant reader
+/// uses it.
 pub fn f64_from_hex(s: &str) -> Option<f64> {
     if s.len() != 16 {
         return None;
@@ -32,8 +28,9 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
 //
 // Encoders append to a `Vec<u8>` without going through `fmt`; the
 // `Cursor` reads back exactly what they write — lowercase 16-digit hex,
-// canonical decimals — and declines anything else, so a caller can try
-// it first and fall back to a general parser on `None`. The per-field
+// canonical decimals — and declines anything else. The journal accepts
+// only what the `Cursor` reads; the fleet trace tries it first and falls
+// back to its general line reader on `None`. The per-field
 // functions are `#[inline]`: their callers live in other crates, and
 // without link-time optimisation a call per field would cost more than
 // the field.
@@ -203,18 +200,15 @@ mod tests {
             f64::MAX,
             f64::NEG_INFINITY,
             1e-308 / 7.0, // subnormal
+            f64::NAN,     // round-trips its payload bits too
         ] {
-            let hex = f64_to_hex(x);
+            let mut hex = Vec::new();
+            push_hex16(&mut hex, x.to_bits());
+            let hex = String::from_utf8(hex).unwrap();
             assert_eq!(hex.len(), 16);
             let back = f64_from_hex(&hex).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} via {hex}");
         }
-        // NaN round-trips its payload bits too.
-        let nan_hex = f64_to_hex(f64::NAN);
-        assert_eq!(
-            f64_from_hex(&nan_hex).unwrap().to_bits(),
-            f64::NAN.to_bits()
-        );
     }
 
     #[test]

@@ -447,3 +447,112 @@ fn snapshot_base_shortens_replay() {
     let want = uninterrupted_digest(&instance, &plan, config);
     assert_eq!(outcome_digest(&served.outcome), want);
 }
+
+/// A second crash after a torn tail, on a real file: the first restore
+/// appends through `Journal::append`, which must cut the torn bytes so
+/// its first record starts a line of its own; the second restore then
+/// reads every record and still converges to the uninterrupted bits.
+#[test]
+fn torn_tail_then_second_crash_on_a_file() {
+    let instance = generators::poisson(10, 0.8, (0.5, 1.5), 5);
+    let plan = FaultPlan::none();
+    let config = ServeConfig::default();
+    let model = PolyPower::CUBE;
+    let budget = 2.0 * instance.total_work();
+    let want = uninterrupted_digest(&instance, &plan, config);
+    let path = std::env::temp_dir().join(format!(
+        "pas-serve-recovery-torn-{}.journal",
+        std::process::id()
+    ));
+
+    let mut policy = fresh_policy(budget);
+    let journal = Journal::create(&path).unwrap();
+    let mut server = Server::new(&instance, &model, &plan, config, journal).unwrap();
+    assert!(!server.run_for(&mut policy, 5).unwrap());
+    drop(server);
+    // The kill lands mid-write: the final record is torn.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let keep = text.trim_end().rfind('\n').unwrap();
+    std::fs::write(&path, &text[..keep + 1 + (text.len() - keep - 1) / 2]).unwrap();
+
+    let restore = |policy: &mut FlowReplanner, journal: Journal| {
+        let prior = std::fs::read_to_string(&path).unwrap();
+        Server::restore(&instance, &model, &plan, config, &prior, journal, policy).unwrap()
+    };
+    let mut policy = fresh_policy(budget);
+    let mut server = restore(&mut policy, Journal::append(&path).unwrap());
+    assert!(!server.run_for(&mut policy, 7).unwrap());
+    assert!(server.journal().records_written() > 0, "no live records");
+    drop(server);
+
+    let mut policy = fresh_policy(budget);
+    let served = restore(&mut policy, Journal::memory()).run(&mut policy);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(outcome_digest(&served.unwrap().outcome), want);
+}
+
+/// An inconsistent snapshot is a journal error, never a panic: a live
+/// slot past the arena, and every single-digit change to an integer
+/// field of the last snapshot (the restore base).
+#[test]
+fn corrupted_snapshot_integers_never_panic_restore() {
+    let model = PolyPower::CUBE;
+    let instance = generators::poisson(10, 0.8, (0.5, 1.5), 5);
+    let plan = sample_plan(&instance, 0.2, 5);
+    let config = ServeConfig {
+        snapshot_every: Some(2),
+        admission: Some(AdmissionConfig {
+            capacity: 3,
+            shed: ShedPolicy::EvictOldest,
+        }),
+        ..ServeConfig::default()
+    };
+    let budget = 2.0 * instance.total_work();
+    let mut policy = fresh_policy(budget);
+    let mut server = Server::new(&instance, &model, &plan, config, Journal::memory()).unwrap();
+    assert!(!server.run_for(&mut policy, 9).unwrap());
+    let text = server.journal().contents().unwrap().to_string();
+    drop(server);
+    let at = text.rfind(r#"{"t":"snap""#).unwrap();
+    let end = at + text[at..].find('\n').unwrap();
+    let restore = |text: &str| {
+        let mut policy = fresh_policy(budget);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Server::restore(
+                &instance,
+                &model,
+                &plan,
+                config,
+                text,
+                Journal::memory(),
+                &mut policy,
+            )
+            .map(|server| server.pending_replay())
+        }))
+        .unwrap_or_else(|_| panic!("restore panicked on {}", &text[at..end]))
+    };
+    assert!(restore(&text).is_ok());
+
+    // The first live slot moved far past the arena.
+    let rj = at + text[at..].find(r#""rj":[["#).unwrap() + 7;
+    let digits = text[rj..].find(',').unwrap();
+    let probe = format!("{}90{}", &text[..rj], &text[rj + digits..]);
+    assert!(restore(&probe).is_err());
+
+    // Digits outside quoted strings are the integer fields.
+    let mut quoted = false;
+    let mut tried = 0;
+    for (i, b) in text.bytes().enumerate().take(end).skip(at) {
+        quoted ^= b == b'"';
+        if quoted || !b.is_ascii_digit() {
+            continue;
+        }
+        for d in (b'0'..=b'9').filter(|&d| d != b) {
+            let mut bytes = text.clone().into_bytes();
+            bytes[i] = d;
+            let _ = restore(&String::from_utf8(bytes).unwrap());
+            tried += 1;
+        }
+    }
+    assert!(tried > 200, "{tried}");
+}
